@@ -94,7 +94,6 @@ struct MachineConfig {
   CacheConfig l1d;
   CacheConfig l2;
   CacheConfig l3;
-  bool l3_inclusive = true;
 
   /// DTLB/STLB geometry. 4 KB pages by default: the paper's Ubuntu setup
   /// uses THP=madvise, and none of the engines madvise their allocations,

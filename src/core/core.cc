@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace uolap::core {
 
@@ -21,7 +20,6 @@ double DivByPort(double x, double port, double recip) {
 
 Core::Core(const MachineConfig& config)
     : config_(config), memory_(config), predictor_() {
-  ResetFilter();
   RecomputeIfetchFractions();
   const ExecConfig& xc = config_.exec;
   inv_alu_ = RecipIfPow2(xc.alu_ports);
@@ -52,13 +50,13 @@ void Core::RecomputeIfetchFractions() {
   ifrac_dram_ = std::max(0.0, 1.0 - f_l3);
 }
 
-void Core::ResetFilter() {
-  std::memset(filter_line_, 0xFF, sizeof(filter_line_));
-  std::memset(filter_dirty_, 0, sizeof(filter_dirty_));
-}
-
-void Core::AccessSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count,
-                     bool is_store) {
+// One body for the filter-backed (AccessSeq) and cursor-backed
+// (AccessRange) batched paths: `memo(line)` returns the {line, dirty}
+// record the per-element path would consult for `line` — the 16-slot
+// filter's slot for its 4 KB page, or the caller's cursor.
+template <class Memo>
+inline void Core::AccessLines(Memo memo, uint64_t addr, uint32_t elem_bytes,
+                              uint64_t count, bool is_store) {
   if (count == 0) return;
   if (is_store) {
     mix_.store += count;
@@ -74,7 +72,7 @@ void Core::AccessSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count,
     const uint64_t off = a & 63;
     if (UOLAP_UNLIKELY(off + elem_bytes > 64)) {
       // Line-straddling element: identical to Load()'s straddle arm — walk
-      // every touched line, leave the filter untouched.
+      // every touched line, leave the memo untouched.
       memory_.AccessData(a, elem_bytes, is_store);
       a += elem_bytes;
       --left;
@@ -86,16 +84,16 @@ void Core::AccessSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count,
     const uint64_t line = a >> 6;
     uint64_t k = (64 - off - elem_bytes) / elem_bytes + 1;
     if (k > left) k = left;
-    const int slot = static_cast<int>((line >> 6) & (kFilterSlots - 1));
+    SeqCursor& m = memo(line);
     // Bulk resident-run lane: when the elements tile whole lines from a
     // line boundary and the first line would take the walk arm below
-    // (filter mismatch), MemorySystem may service a provably L1-resident
+    // (memo mismatch), MemorySystem may service a provably L1-resident
     // stream run in closed form. Each serviced line then took exactly the
     // walk the mismatch arm issues, every line of the run shares this 4 KB
-    // page's filter slot, and the per-line filter writes telescope to the
-    // final line — so the element accounting and filter update below are
-    // bit-identical to iterating.
-    if (off == 0 && 64 % elem_bytes == 0 && filter_line_[slot] != line) {
+    // page's memo (one filter slot, or the one cursor), and the per-line
+    // memo writes telescope to the final line — so the element accounting
+    // and memo update below are bit-identical to iterating.
+    if (off == 0 && 64 % elem_bytes == 0 && m.line != line) {
       const uint64_t per_line = 64 / elem_bytes;
       const uint64_t lines_wanted = (left + per_line - 1) / per_line;
       const uint64_t n =
@@ -104,23 +102,23 @@ void Core::AccessSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count,
         const uint64_t elems = std::min(left, n * per_line);
         mc->data_accesses += elems - n;
         mc->l1d_hits += elems - n;
-        filter_line_[slot] = line + n - 1;
-        filter_dirty_[slot] = is_store;
+        m.line = line + n - 1;
+        m.dirty = is_store;
         a += elems * elem_bytes;
         left -= elems;
         continue;
       }
     }
     uint64_t hits = k;
-    if (filter_line_[slot] == line) {
-      if (is_store && !filter_dirty_[slot]) {
-        filter_dirty_[slot] = true;
+    if (m.line == line) {
+      if (is_store && !m.dirty) {
+        m.dirty = true;
         memory_.AccessDataLine(line, /*is_store=*/true);
         --hits;
       }
     } else {
-      filter_line_[slot] = line;
-      filter_dirty_[slot] = is_store;
+      m.line = line;
+      m.dirty = is_store;
       memory_.AccessDataLine(line, is_store);
       --hits;
     }
@@ -132,67 +130,16 @@ void Core::AccessSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count,
   if (UOLAP_UNLIKELY(observer_ != nullptr)) observer_->OnProgress();
 }
 
+void Core::AccessSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count,
+                     bool is_store) {
+  AccessLines([this](uint64_t line) -> SeqCursor& { return FilterSlot(line); },
+              addr, elem_bytes, count, is_store);
+}
+
 void Core::AccessRange(SeqCursor& cur, uint64_t addr, uint32_t elem_bytes,
                        uint64_t count, bool is_store) {
-  if (count == 0) return;
-  if (is_store) {
-    mix_.store += count;
-    pending_.store += count;
-  } else {
-    mix_.load += count;
-    pending_.load += count;
-  }
-  MemCounters* mc = memory_.mutable_counters();
-  uint64_t a = addr;
-  uint64_t left = count;
-  while (left > 0) {
-    const uint64_t off = a & 63;
-    if (UOLAP_UNLIKELY(off + elem_bytes > 64)) {
-      memory_.AccessData(a, elem_bytes, is_store);
-      a += elem_bytes;
-      --left;
-      continue;
-    }
-    const uint64_t line = a >> 6;
-    uint64_t k = (64 - off - elem_bytes) / elem_bytes + 1;
-    if (k > left) k = left;
-    // Same bulk resident-run lane as AccessSeq, with the caller's cursor
-    // standing in for the filter slot (same telescoping argument).
-    if (off == 0 && 64 % elem_bytes == 0 && cur.line != line) {
-      const uint64_t per_line = 64 / elem_bytes;
-      const uint64_t lines_wanted = (left + per_line - 1) / per_line;
-      const uint64_t n =
-          memory_.AccessDataRunResident(line, lines_wanted, is_store);
-      if (n > 0) {
-        const uint64_t elems = std::min(left, n * per_line);
-        mc->data_accesses += elems - n;
-        mc->l1d_hits += elems - n;
-        cur.line = line + n - 1;
-        cur.dirty = is_store;
-        a += elems * elem_bytes;
-        left -= elems;
-        continue;
-      }
-    }
-    uint64_t hits = k;
-    if (cur.line == line) {
-      if (is_store && !cur.dirty) {
-        cur.dirty = true;
-        memory_.AccessDataLine(line, /*is_store=*/true);
-        --hits;
-      }
-    } else {
-      cur.line = line;
-      cur.dirty = is_store;
-      memory_.AccessDataLine(line, is_store);
-      --hits;
-    }
-    mc->data_accesses += hits;
-    mc->l1d_hits += hits;
-    a += k * elem_bytes;
-    left -= k;
-  }
-  if (UOLAP_UNLIKELY(observer_ != nullptr)) observer_->OnProgress();
+  AccessLines([&cur](uint64_t) -> SeqCursor& { return cur; }, addr,
+              elem_bytes, count, is_store);
 }
 
 void Core::Retire(const InstrMix& mix) {
@@ -288,7 +235,7 @@ void Core::Reset() {
   region_ = CodeRegion{"default", 2048};
   RecomputeIfetchFractions();
   ifetch_l1_ = ifetch_l2_ = ifetch_l3_ = ifetch_dram_ = 0;
-  ResetFilter();
+  for (SeqCursor& slot : filter_) slot.Reset();
 }
 
 }  // namespace uolap::core

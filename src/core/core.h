@@ -226,9 +226,9 @@ class Core {
       memory_.AccessData(addr, bytes, is_store);
       return;
     }
-    const int slot = static_cast<int>((line >> 6) & (kFilterSlots - 1));
-    if (filter_line_[slot] == line) {
-      if (!is_store || filter_dirty_[slot]) {
+    SeqCursor& slot = FilterSlot(line);
+    if (slot.line == line) {
+      if (!is_store || slot.dirty) {
         // Repeated same-line access: an L1 hit by construction.
         ++memory_.mutable_counters()->data_accesses;
         ++memory_.mutable_counters()->l1d_hits;
@@ -236,21 +236,27 @@ class Core {
       }
       // First store to a filtered line must reach the cache to set the
       // dirty bit (writeback accounting).
-      filter_dirty_[slot] = true;
+      slot.dirty = true;
       memory_.AccessDataLine(line, /*is_store=*/true);
       return;
     }
-    filter_line_[slot] = line;
-    filter_dirty_[slot] = is_store;
+    slot.line = line;
+    slot.dirty = is_store;
     memory_.AccessDataLine(line, is_store);
+  }
+
+  /// The filter slot of `line`'s 4 KB page.
+  SeqCursor& FilterSlot(uint64_t line) {
+    return filter_[(line >> 6) & (kFilterSlots - 1)];
   }
 
   void AccessSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count,
                  bool is_store);
   void AccessRange(SeqCursor& cur, uint64_t addr, uint32_t elem_bytes,
                    uint64_t count, bool is_store);
-  /// Shared by the constructor and Reset(): an empty filter.
-  void ResetFilter();
+  template <class Memo>
+  void AccessLines(Memo memo, uint64_t addr, uint32_t elem_bytes,
+                   uint64_t count, bool is_store);
   /// Re-derives the per-level I-fetch fractions for the current code
   /// region (they change only on SetCodeRegion, so Retire need not
   /// redo the divides; hoisting them is bit-exact).
@@ -293,8 +299,9 @@ class Core {
   double ifetch_l3_ = 0;
   double ifetch_dram_ = 0;
 
-  uint64_t filter_line_[kFilterSlots];
-  bool filter_dirty_[kFilterSlots];
+  /// Recently touched {line, dirty} per 4 KB-page slot, shared by
+  /// Load/Store and LoadSeq/StoreSeq.
+  SeqCursor filter_[kFilterSlots];
 
   CoreObserver* observer_ = nullptr;
 };

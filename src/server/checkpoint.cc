@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <type_traits>
 #include <utility>
 
 #include "common/crc32c.h"
@@ -20,31 +21,23 @@ constexpr uint32_t kSnapshotVersion = 1;
 
 // --- bit-exact binary (de)serialization -----------------------------------
 // Little-endian fixed-width fields; doubles travel as raw bit patterns so
-// a restored state is bit-identical to the captured one.
+// a restored state is bit-identical to the captured one. Each persisted
+// struct lists its fields exactly once, in a Visit() below; BinWriter and
+// BinReader are the two archives that walk that list, so the writer and
+// the reader cannot disagree about a field. Field widths follow the C++
+// types: bool and enums 1 byte, int32/uint32 4, uint64/double 8; strings,
+// vectors and maps carry a uint32 count.
 
 class BinWriter {
  public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void F64(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
+  template <class... T>
+  void operator()(const T&... v) {
+    (Field(v), ...);
   }
-  void B(bool v) { U8(v ? 1 : 0); }
-  void Str(std::string_view s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Raw(s.data(), s.size());
-  }
-  void VecF64(const std::vector<double>& v) {
-    U32(static_cast<uint32_t>(v.size()));
-    for (const double x : v) F64(x);
-  }
-  void VecU64(const std::vector<uint64_t>& v) {
-    U32(static_cast<uint32_t>(v.size()));
-    for (const uint64_t x : v) U64(x);
+  /// Enums travel as one byte; [lo, hi] is the reader's valid range.
+  template <class E>
+  void Enum(const E& v, E /*lo*/, E /*hi*/) {
+    Field(static_cast<uint8_t>(v));
   }
   void Raw(const void* p, size_t n) {
     out_.append(static_cast<const char*>(p), n);
@@ -53,6 +46,38 @@ class BinWriter {
   const std::string& str() const { return out_; }
 
  private:
+  void Field(uint8_t v) { out_.push_back(static_cast<char>(v)); }
+  void Field(bool v) { Field(static_cast<uint8_t>(v ? 1 : 0)); }
+  void Field(uint32_t v) { Raw(&v, sizeof(v)); }
+  void Field(int32_t v) { Raw(&v, sizeof(v)); }
+  void Field(uint64_t v) { Raw(&v, sizeof(v)); }
+  void Field(double v) { Raw(&v, sizeof(v)); }
+  void Field(std::string_view s) {
+    Field(static_cast<uint32_t>(s.size()));
+    Raw(s.data(), s.size());
+  }
+  void Field(const std::string& s) { Field(std::string_view(s)); }
+  void Field(const Rng& rng) {
+    for (const uint64_t word : rng.SaveState()) Field(word);
+  }
+  template <class T>
+  void Field(const std::vector<T>& v) {
+    Field(static_cast<uint32_t>(v.size()));
+    for (const T& x : v) Field(x);
+  }
+  template <class K, class V>
+  void Field(const std::map<K, V>& m) {
+    Field(static_cast<uint32_t>(m.size()));
+    for (const auto& [key, value] : m) {
+      Field(key);
+      Field(value);
+    }
+  }
+  template <class S>
+  void Field(const S& s) {
+    Visit(*this, s);
+  }
+
   std::string out_;
 };
 
@@ -60,65 +85,79 @@ class BinReader {
  public:
   explicit BinReader(std::string_view data) : data_(data) {}
 
-  uint8_t U8() {
-    uint8_t v = 0;
-    Take(&v, sizeof(v));
-    return v;
+  template <class... T>
+  void operator()(T&... v) {
+    (Field(v), ...);
   }
-  uint32_t U32() {
-    uint32_t v = 0;
-    Take(&v, sizeof(v));
-    return v;
+  /// Fails the read when the stored byte is outside [lo, hi].
+  template <class E>
+  void Enum(E& v, E lo, E hi) {
+    uint8_t raw = 0;
+    Field(raw);
+    if (raw < static_cast<uint8_t>(lo) || raw > static_cast<uint8_t>(hi)) {
+      failed_ = true;
+      return;
+    }
+    v = static_cast<E>(raw);
   }
-  uint64_t U64() {
-    uint64_t v = 0;
-    Take(&v, sizeof(v));
-    return v;
+
+  /// True when every byte was consumed and nothing failed.
+  bool AtEnd() const { return !failed_ && pos_ == data_.size(); }
+
+ private:
+  void Field(uint8_t& v) { Take(&v, sizeof(v)); }
+  void Field(bool& v) {
+    uint8_t b = 0;
+    Field(b);
+    v = b != 0;
   }
-  int32_t I32() { return static_cast<int32_t>(U32()); }
-  double F64() {
-    const uint64_t bits = U64();
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  bool B() { return U8() != 0; }
-  std::string Str() {
+  void Field(uint32_t& v) { Take(&v, sizeof(v)); }
+  void Field(int32_t& v) { Take(&v, sizeof(v)); }
+  void Field(uint64_t& v) { Take(&v, sizeof(v)); }
+  void Field(double& v) { Take(&v, sizeof(v)); }
+  void Field(std::string& s) {
     const size_t n = Count();
-    std::string s;
-    if (failed_) return s;
+    if (failed_) return;
     s.assign(data_.data() + pos_, n);
     pos_ += n;
-    return s;
   }
-  std::vector<double> VecF64() {
+  void Field(Rng& rng) {
+    std::array<uint64_t, 4> state = {};
+    for (uint64_t& word : state) Field(word);
+    rng.LoadState(state);
+  }
+  // Containers grow one decoded element at a time, so their allocation
+  // never runs ahead of the bytes actually present.
+  template <class T>
+  void Field(std::vector<T>& v) {
     const size_t n = Count();
-    std::vector<double> v;
-    if (failed_) return v;
-    v.reserve(n);
-    for (size_t i = 0; i < n && !failed_; ++i) v.push_back(F64());
-    return v;
+    v.clear();
+    for (size_t i = 0; i < n && !failed_; ++i) Field(v.emplace_back());
   }
-  std::vector<uint64_t> VecU64() {
+  template <class K, class V>
+  void Field(std::map<K, V>& m) {
     const size_t n = Count();
-    std::vector<uint64_t> v;
-    if (failed_) return v;
-    v.reserve(n);
-    for (size_t i = 0; i < n && !failed_; ++i) v.push_back(U64());
-    return v;
+    m.clear();
+    for (size_t i = 0; i < n && !failed_; ++i) {
+      K key;
+      Field(key);
+      Field(m[std::move(key)]);
+    }
   }
+  template <class S>
+  void Field(S& s) {
+    Visit(*this, s);
+  }
+
   /// A container count, bounded by the remaining bytes (every element is
   /// at least one byte) so corrupt data cannot force a huge allocation.
   size_t Count() {
-    const uint32_t n = U32();
+    uint32_t n = 0;
+    Field(n);
     if (!failed_ && n > data_.size() - pos_) failed_ = true;
     return failed_ ? 0 : n;
   }
 
-  bool failed() const { return failed_; }
-  bool AtEnd() const { return !failed_ && pos_ == data_.size(); }
-
- private:
   void Take(void* p, size_t n) {
     if (failed_ || data_.size() - pos_ < n) {
       failed_ = true;
@@ -134,331 +173,99 @@ class BinReader {
   bool failed_ = false;
 };
 
-// --- per-struct codecs ----------------------------------------------------
+// --- the persisted field lists --------------------------------------------
+// One Visit per struct: `S` is `const T` when encoding and `T` when
+// decoding. The order of the fields is the file format.
 
-void PutInstance(BinWriter& w, const QueryInstance& q) {
-  w.I32(q.tenant);
-  w.U64(q.cls);
-  w.I32(q.client);
-  w.U64(q.seq);
-  w.B(q.sampled);
-  w.F64(q.arrival);
-  w.F64(q.start);
-  w.F64(q.remaining);
-  w.F64(q.scale_cycles);
-  w.F64(q.run_cycles);
-  w.I32(q.attempt);
-  w.F64(q.deadline);
-  w.F64(q.est_ms);
-  w.F64(q.cancel_remaining);
-  w.F64(q.retry_ready);
-  w.B(q.will_fail);
-  w.F64(q.slow);
+template <class S, class T>
+concept Persisted = std::is_same_v<std::remove_const_t<S>, T>;
+
+template <class Ar, Persisted<QueryInstance> S>
+void Visit(Ar& ar, S& q) {
+  ar(q.tenant, q.cls, q.client, q.seq, q.sampled, q.arrival, q.start,
+     q.remaining, q.scale_cycles, q.run_cycles, q.attempt, q.deadline,
+     q.est_ms, q.cancel_remaining, q.retry_ready, q.will_fail, q.slow);
 }
 
-QueryInstance GetInstance(BinReader& r) {
-  QueryInstance q;
-  q.tenant = r.I32();
-  q.cls = r.U64();
-  q.client = r.I32();
-  q.seq = r.U64();
-  q.sampled = r.B();
-  q.arrival = r.F64();
-  q.start = r.F64();
-  q.remaining = r.F64();
-  q.scale_cycles = r.F64();
-  q.run_cycles = r.F64();
-  q.attempt = r.I32();
-  q.deadline = r.F64();
-  q.est_ms = r.F64();
-  q.cancel_remaining = r.F64();
-  q.retry_ready = r.F64();
-  q.will_fail = r.B();
-  q.slow = r.F64();
-  return q;
+template <class Ar, Persisted<TenantLoopState> S>
+void Visit(Ar& ar, S& t) {
+  ar(t.rng, t.cap, t.submitted, t.completed, t.rejected, t.shed,
+     t.timed_out, t.failed, t.retries, t.next_open_arrival, t.client_wake,
+     t.zipf_cdf, t.latencies_ms, t.histogram);
 }
 
-void PutInstances(BinWriter& w, const std::vector<QueryInstance>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (const QueryInstance& q : v) PutInstance(w, q);
+template <class Ar, Persisted<ClassLoopStats> S>
+void Visit(Ar& ar, S& c) {
+  ar(c.executions, c.service_cycles, c.scale_cycles, c.run_cycles);
 }
 
-std::vector<QueryInstance> GetInstances(BinReader& r) {
-  const size_t n = r.Count();
-  std::vector<QueryInstance> v;
-  v.reserve(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) v.push_back(GetInstance(r));
-  return v;
+template <class Ar, Persisted<obs::QueueSample> S>
+void Visit(Ar& ar, S& s) {
+  ar(s.vtime_ms, s.running, s.queued);
 }
 
-void PutLatMap(BinWriter& w,
-               const std::map<std::string, std::vector<double>>& m) {
-  w.U32(static_cast<uint32_t>(m.size()));
-  for (const auto& [key, values] : m) {
-    w.Str(key);
-    w.VecF64(values);
-  }
+template <class Ar, Persisted<obs::QuerySpan> S>
+void Visit(Ar& ar, S& s) {
+  ar(s.seq, s.tenant, s.cls, s.arrival_ms, s.start_ms, s.end_ms, s.core,
+     s.outcome, s.attempts);
 }
 
-std::map<std::string, std::vector<double>> GetLatMap(BinReader& r) {
-  const size_t n = r.Count();
-  std::map<std::string, std::vector<double>> m;
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    std::string key = r.Str();
-    m[std::move(key)] = r.VecF64();
-  }
-  return m;
+template <class Ar, Persisted<EpochAccState> S>
+void Visit(Ar& ar, S& a) {
+  ar(a.lat, a.tenant_lat, a.class_lat, a.max_running, a.max_queued);
 }
 
-void PutWindowStats(BinWriter& w, const std::vector<obs::WindowStat>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (const obs::WindowStat& s : v) {
-    w.Str(s.subject);
-    w.U64(s.completed);
-    w.F64(s.p50_ms);
-    w.F64(s.p95_ms);
-    w.F64(s.p99_ms);
-  }
+template <class Ar, Persisted<obs::WindowStat> S>
+void Visit(Ar& ar, S& w) {
+  ar(w.subject, w.completed, w.p50_ms, w.p95_ms, w.p99_ms);
 }
 
-std::vector<obs::WindowStat> GetWindowStats(BinReader& r) {
-  const size_t n = r.Count();
-  std::vector<obs::WindowStat> v;
-  v.reserve(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    obs::WindowStat s;
-    s.subject = r.Str();
-    s.completed = r.U64();
-    s.p50_ms = r.F64();
-    s.p95_ms = r.F64();
-    s.p99_ms = r.F64();
-    v.push_back(std::move(s));
-  }
-  return v;
+template <class Ar, Persisted<obs::EpochRecord> S>
+void Visit(Ar& ar, S& e) {
+  ar(e.index, e.start_ms, e.end_ms, e.completed, e.p50_ms, e.p95_ms,
+     e.p99_ms, e.max_running, e.max_queued, e.tenants, e.classes);
 }
 
-void PutLoopState(BinWriter& w, const LoopState& st) {
-  w.F64(st.vtime);
-  w.U32(static_cast<uint32_t>(st.tenants.size()));
-  for (const TenantLoopState& t : st.tenants) {
-    const std::array<uint64_t, 4> rng = t.rng.SaveState();
-    for (const uint64_t word : rng) w.U64(word);
-    w.U64(t.cap);
-    w.U64(t.submitted);
-    w.U64(t.completed);
-    w.U64(t.rejected);
-    w.U64(t.shed);
-    w.U64(t.timed_out);
-    w.U64(t.failed);
-    w.U64(t.retries);
-    w.F64(t.next_open_arrival);
-    w.VecF64(t.client_wake);
-    w.VecF64(t.zipf_cdf);
-    w.VecF64(t.latencies_ms);
-    w.VecU64(t.histogram);
-  }
-  w.U32(static_cast<uint32_t>(st.classes.size()));
-  for (const ClassLoopStats& c : st.classes) {
-    w.U64(c.executions);
-    w.F64(c.service_cycles);
-    w.F64(c.scale_cycles);
-    w.F64(c.run_cycles);
-  }
-  PutInstances(w, st.slots);
-  PutInstances(w, st.queue);
-  PutInstances(w, st.retry_queue);
-  w.U64(st.queue_head);
-  w.F64(st.queued_est_ms);
-  w.U64(st.faults_injected);
-  w.U64(st.slowdowns_injected);
-  w.U64(st.brownout_downgrades);
-  w.F64(st.total_bytes);
-  w.F64(st.peak_gbps);
-  w.B(st.saturated);
-  w.U32(static_cast<uint32_t>(st.timeline.size()));
-  for (const obs::QueueSample& s : st.timeline) {
-    w.F64(s.vtime_ms);
-    w.U32(s.running);
-    w.U32(s.queued);
-  }
-  PutLatMap(w, st.engine_latencies);
-  w.U64(st.seq_counter);
-  w.U32(static_cast<uint32_t>(st.spans.size()));
-  for (const obs::QuerySpan& s : st.spans) {
-    w.U64(s.seq);
-    w.Str(s.tenant);
-    w.Str(s.cls);
-    w.F64(s.arrival_ms);
-    w.F64(s.start_ms);
-    w.F64(s.end_ms);
-    w.I32(s.core);
-    w.Str(s.outcome);
-    w.U32(s.attempts);
-  }
-  w.VecF64(st.all_latencies);
-  w.U32(st.cur_running);
-  w.U32(st.cur_queued);
-  w.U32(st.peak_queued);
-  w.VecF64(st.acc.lat);
-  PutLatMap(w, st.acc.tenant_lat);
-  PutLatMap(w, st.acc.class_lat);
-  w.U32(st.acc.max_running);
-  w.U32(st.acc.max_queued);
-  w.I32(st.epoch_index);
-  w.F64(st.epoch_start);
-  w.U32(static_cast<uint32_t>(st.epochs.size()));
-  for (const obs::EpochRecord& e : st.epochs) {
-    w.I32(e.index);
-    w.F64(e.start_ms);
-    w.F64(e.end_ms);
-    w.U64(e.completed);
-    w.F64(e.p50_ms);
-    w.F64(e.p95_ms);
-    w.F64(e.p99_ms);
-    w.U32(e.max_running);
-    w.U32(e.max_queued);
-    PutWindowStats(w, e.tenants);
-    PutWindowStats(w, e.classes);
-  }
+template <class Ar, Persisted<LoopState> S>
+void Visit(Ar& ar, S& st) {
+  ar(st.vtime, st.tenants, st.classes, st.slots, st.queue, st.retry_queue,
+     st.queue_head, st.queued_est_ms, st.faults_injected,
+     st.slowdowns_injected, st.brownout_downgrades, st.total_bytes,
+     st.peak_gbps, st.saturated, st.timeline, st.engine_latencies,
+     st.seq_counter, st.spans, st.all_latencies, st.cur_running,
+     st.cur_queued, st.peak_queued, st.acc, st.epoch_index, st.epoch_start,
+     st.epochs);
 }
 
-LoopState GetLoopState(BinReader& r) {
-  LoopState st;
-  st.vtime = r.F64();
-  size_t n = r.Count();
-  st.tenants.resize(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    TenantLoopState& t = st.tenants[i];
-    std::array<uint64_t, 4> rng = {};
-    for (uint64_t& word : rng) word = r.U64();
-    t.rng.LoadState(rng);
-    t.cap = r.U64();
-    t.submitted = r.U64();
-    t.completed = r.U64();
-    t.rejected = r.U64();
-    t.shed = r.U64();
-    t.timed_out = r.U64();
-    t.failed = r.U64();
-    t.retries = r.U64();
-    t.next_open_arrival = r.F64();
-    t.client_wake = r.VecF64();
-    t.zipf_cdf = r.VecF64();
-    t.latencies_ms = r.VecF64();
-    t.histogram = r.VecU64();
-  }
-  n = r.Count();
-  st.classes.resize(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    ClassLoopStats& c = st.classes[i];
-    c.executions = r.U64();
-    c.service_cycles = r.F64();
-    c.scale_cycles = r.F64();
-    c.run_cycles = r.F64();
-  }
-  st.slots = GetInstances(r);
-  st.queue = GetInstances(r);
-  st.retry_queue = GetInstances(r);
-  st.queue_head = r.U64();
-  st.queued_est_ms = r.F64();
-  st.faults_injected = r.U64();
-  st.slowdowns_injected = r.U64();
-  st.brownout_downgrades = r.U64();
-  st.total_bytes = r.F64();
-  st.peak_gbps = r.F64();
-  st.saturated = r.B();
-  n = r.Count();
-  st.timeline.resize(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    st.timeline[i].vtime_ms = r.F64();
-    st.timeline[i].running = r.U32();
-    st.timeline[i].queued = r.U32();
-  }
-  st.engine_latencies = GetLatMap(r);
-  st.seq_counter = r.U64();
-  n = r.Count();
-  st.spans.resize(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    obs::QuerySpan& s = st.spans[i];
-    s.seq = r.U64();
-    s.tenant = r.Str();
-    s.cls = r.Str();
-    s.arrival_ms = r.F64();
-    s.start_ms = r.F64();
-    s.end_ms = r.F64();
-    s.core = r.I32();
-    s.outcome = r.Str();
-    s.attempts = r.U32();
-  }
-  st.all_latencies = r.VecF64();
-  st.cur_running = r.U32();
-  st.cur_queued = r.U32();
-  st.peak_queued = r.U32();
-  st.acc.lat = r.VecF64();
-  st.acc.tenant_lat = GetLatMap(r);
-  st.acc.class_lat = GetLatMap(r);
-  st.acc.max_running = r.U32();
-  st.acc.max_queued = r.U32();
-  st.epoch_index = r.I32();
-  st.epoch_start = r.F64();
-  n = r.Count();
-  st.epochs.resize(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    obs::EpochRecord& e = st.epochs[i];
-    e.index = r.I32();
-    e.start_ms = r.F64();
-    e.end_ms = r.F64();
-    e.completed = r.U64();
-    e.p50_ms = r.F64();
-    e.p95_ms = r.F64();
-    e.p99_ms = r.F64();
-    e.max_running = r.U32();
-    e.max_queued = r.U32();
-    e.tenants = GetWindowStats(r);
-    e.classes = GetWindowStats(r);
-  }
-  return st;
+template <class Ar, Persisted<AdmissionController::ClassModel> S>
+void Visit(Ar& ar, S& m) {
+  ar(m.est_ms, m.count);
 }
 
-void PutMetricsSnapshot(BinWriter& w, const obs::MetricsSnapshot& snap) {
-  w.U32(static_cast<uint32_t>(snap.families.size()));
-  for (const obs::MetricFamily& f : snap.families) {
-    w.Str(f.name);
-    w.U8(static_cast<uint8_t>(f.kind));
-    w.U32(static_cast<uint32_t>(f.series.size()));
-    for (const obs::MetricSeries& s : f.series) {
-      w.Str(s.label_key);
-      w.Str(s.label_value);
-      w.U64(s.counter);
-      w.F64(s.gauge);
-      w.VecU64(s.histogram.buckets);
-      w.U64(s.histogram.count);
-      w.U64(s.histogram.sum_micro);
-    }
-  }
+template <class Ar, Persisted<obs::MetricSeries> S>
+void Visit(Ar& ar, S& s) {
+  ar(s.label_key, s.label_value, s.counter, s.gauge, s.histogram.buckets,
+     s.histogram.count, s.histogram.sum_micro);
 }
 
-obs::MetricsSnapshot GetMetricsSnapshot(BinReader& r) {
-  obs::MetricsSnapshot snap;
-  const size_t nf = r.Count();
-  snap.families.resize(nf);
-  for (size_t i = 0; i < nf && !r.failed(); ++i) {
-    obs::MetricFamily& f = snap.families[i];
-    f.name = r.Str();
-    f.kind = static_cast<obs::MetricKind>(r.U8());
-    const size_t ns = r.Count();
-    f.series.resize(ns);
-    for (size_t j = 0; j < ns && !r.failed(); ++j) {
-      obs::MetricSeries& s = f.series[j];
-      s.label_key = r.Str();
-      s.label_value = r.Str();
-      s.counter = r.U64();
-      s.gauge = r.F64();
-      s.histogram.buckets = r.VecU64();
-      s.histogram.count = r.U64();
-      s.histogram.sum_micro = r.U64();
-    }
-  }
-  return snap;
+template <class Ar, Persisted<obs::MetricFamily> S>
+void Visit(Ar& ar, S& f) {
+  ar(f.name);
+  ar.Enum(f.kind, obs::MetricKind::kCounter, obs::MetricKind::kHistogram);
+  ar(f.series);
+}
+
+/// The snapshot payload between the magic + version header and the CRC.
+template <class Ar, Persisted<CheckpointSnapshot> S>
+void Visit(Ar& ar, S& s) {
+  ar(s.config_fingerprint, s.class_digest, s.epoch_index, s.freq_ghz,
+     s.state, s.admission_models, s.metrics.families);
+}
+
+template <class Ar, Persisted<JournalEvent> S>
+void Visit(Ar& ar, S& e) {
+  ar.Enum(e.type, JournalEventType::kAdmit, JournalEventType::kRetry);
+  ar(e.seq, e.tenant, e.attempt, e.vtime_ms);
 }
 
 /// Parses "<prefix><8 digits><suffix>" file names; returns the index or
@@ -503,50 +310,26 @@ std::string_view JournalEventTypeName(JournalEventType type) {
 
 std::string EncodeJournalEvent(const JournalEvent& event) {
   BinWriter w;
-  w.U8(static_cast<uint8_t>(event.type));
-  w.U64(event.seq);
-  w.I32(event.tenant);
-  w.U32(event.attempt);
-  w.F64(event.vtime_ms);
+  w(event);
   return w.str();
 }
 
 StatusOr<JournalEvent> DecodeJournalEvent(std::string_view payload) {
   BinReader r(payload);
   JournalEvent e;
-  const uint8_t type = r.U8();
-  e.seq = r.U64();
-  e.tenant = r.I32();
-  e.attempt = r.U32();
-  e.vtime_ms = r.F64();
-  if (!r.AtEnd() ||
-      type < static_cast<uint8_t>(JournalEventType::kAdmit) ||
-      type > static_cast<uint8_t>(JournalEventType::kRetry)) {
+  r(e);
+  if (!r.AtEnd()) {
     return Status::InvalidArgument("malformed journal event payload");
   }
-  e.type = static_cast<JournalEventType>(type);
   return e;
 }
 
 std::string EncodeSnapshot(const CheckpointSnapshot& snapshot) {
   BinWriter w;
   w.Raw(kSnapshotMagic, sizeof(kSnapshotMagic));
-  w.U32(kSnapshotVersion);
-  w.U64(snapshot.config_fingerprint);
-  w.U32(snapshot.class_digest);
-  w.I32(snapshot.epoch_index);
-  w.F64(snapshot.freq_ghz);
-  PutLoopState(w, snapshot.state);
-  w.U32(static_cast<uint32_t>(snapshot.admission_models.size()));
-  for (const AdmissionController::ClassModel& m : snapshot.admission_models) {
-    w.F64(m.est_ms);
-    w.U64(m.count);
-  }
-  PutMetricsSnapshot(w, snapshot.metrics);
-  const uint32_t crc = Crc32c(w.str());
-  std::string out = w.str();
-  out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  return out;
+  w(kSnapshotVersion, snapshot);
+  w(Crc32c(w.str()));
+  return w.str();
 }
 
 StatusOr<CheckpointSnapshot> DecodeSnapshot(std::string_view bytes) {
@@ -573,18 +356,7 @@ StatusOr<CheckpointSnapshot> DecodeSnapshot(std::string_view bytes) {
   }
   BinReader r(body.substr(kHeader));
   CheckpointSnapshot snap;
-  snap.config_fingerprint = r.U64();
-  snap.class_digest = r.U32();
-  snap.epoch_index = r.I32();
-  snap.freq_ghz = r.F64();
-  snap.state = GetLoopState(r);
-  const size_t nm = r.Count();
-  snap.admission_models.resize(nm);
-  for (size_t i = 0; i < nm && !r.failed(); ++i) {
-    snap.admission_models[i].est_ms = r.F64();
-    snap.admission_models[i].count = r.U64();
-  }
-  snap.metrics = GetMetricsSnapshot(r);
+  r(snap);
   if (!r.AtEnd()) {
     return Status::InvalidArgument("snapshot payload truncated or malformed");
   }
@@ -672,52 +444,29 @@ StatusOr<RecoveredCheckpoint> LoadLatestCheckpoint(const std::string& dir) {
 
 uint64_t ServingConfigFingerprint(const ServerConfig& config,
                                   const std::vector<TenantConfig>& tenants) {
+  const core::MachineConfig& m = config.machine;
+  const AdmissionConfig& adm = config.admission;
+  const RetryPolicy& retry = config.retry;
+  std::vector<std::string> slos;
+  for (const obs::SloSpec& slo : config.slos) slos.push_back(slo.ToString());
   BinWriter w;
-  w.F64(config.machine.freq_ghz);
-  w.U32(config.machine.cores_per_socket);
-  w.F64(config.machine.SocketSeqBytesPerCycle());
-  w.F64(config.machine.SocketRandBytesPerCycle());
-  w.I32(config.cores);
-  w.U64(config.default_max_queries);
-  w.U64(config.sample_interval_instructions);
-  w.F64(config.epoch_ms);
-  w.U64(config.trace_sample_n);
-  w.U32(static_cast<uint32_t>(config.slos.size()));
-  for (const obs::SloSpec& slo : config.slos) w.Str(slo.ToString());
-  w.Str(ShedPolicyName(config.admission.policy));
-  w.F64(config.admission.default_deadline_ms);
-  w.F64(config.admission.safety_factor);
-  w.U64(config.admission.tenant_shed_quota);
-  w.I32(config.admission.protect_priority);
-  w.I32(config.retry.max_retries);
-  w.F64(config.retry.backoff_base_ms);
-  w.F64(config.retry.backoff_multiplier);
-  w.F64(config.retry.backoff_jitter);
-  w.I32(config.brownout.queue_depth);
-  w.U32(static_cast<uint32_t>(config.brownout.downgrade.size()));
-  for (const auto& [from, to] : config.brownout.downgrade) {
-    w.Str(from);
-    w.Str(to);
-  }
-  w.Str(config.faults.ToString());
-  w.I32(config.checkpoint.every_epochs);
-  w.U32(static_cast<uint32_t>(tenants.size()));
+  w(m.freq_ghz, m.cores_per_socket, m.SocketSeqBytesPerCycle(),
+    m.SocketRandBytesPerCycle(), config.cores, config.default_max_queries,
+    config.sample_interval_instructions, config.epoch_ms,
+    config.trace_sample_n, slos, ShedPolicyName(adm.policy),
+    adm.default_deadline_ms, adm.safety_factor, adm.tenant_shed_quota,
+    adm.protect_priority, retry.max_retries, retry.backoff_base_ms,
+    retry.backoff_multiplier, retry.backoff_jitter,
+    config.brownout.queue_depth, config.brownout.downgrade,
+    config.faults.ToString(), config.checkpoint.every_epochs,
+    static_cast<uint32_t>(tenants.size()));
   for (const TenantConfig& t : tenants) {
-    w.Str(t.name);
-    w.Str(t.engine);
-    w.U32(static_cast<uint32_t>(t.catalog.size()));
+    w(t.name, t.engine, static_cast<uint32_t>(t.catalog.size()));
     for (const engine::QuerySpec& spec : t.catalog) {
-      w.Str(spec.Label());
-      w.F64(spec.deadline_ms);
-      w.F64(spec.cost_hint_ms);
+      w(spec.Label(), spec.deadline_ms, spec.cost_hint_ms);
     }
-    w.F64(t.zipf_s);
-    w.F64(t.arrival_qps);
-    w.I32(t.concurrency);
-    w.F64(t.think_ms);
-    w.U64(t.max_queries);
-    w.U64(t.seed);
-    w.I32(t.priority);
+    w(t.zipf_s, t.arrival_qps, t.concurrency, t.think_ms, t.max_queries,
+      t.seed, t.priority);
   }
   const std::string& data = w.str();
   return (static_cast<uint64_t>(Crc32c(data)) << 32) |

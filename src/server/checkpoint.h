@@ -93,6 +93,9 @@ struct CheckpointSnapshot {
   LoopState state;
   std::vector<AdmissionController::ClassModel> admission_models;
   obs::MetricsSnapshot metrics;
+
+  friend bool operator==(const CheckpointSnapshot&,
+                         const CheckpointSnapshot&) = default;
 };
 
 std::string EncodeSnapshot(const CheckpointSnapshot& snapshot);

@@ -46,6 +46,8 @@ struct QueryInstance {
   double retry_ready = 0;  ///< absolute cycles a retry backoff expires at
   bool will_fail = false;  ///< fault plan fails this attempt at its end
   double slow = 1.0;       ///< fault-plan service-time multiplier
+
+  friend bool operator==(const QueryInstance&, const QueryInstance&) = default;
 };
 
 /// Per-tenant loop state: the seeded RNG stream, submission accounting,
@@ -66,6 +68,8 @@ struct TenantLoopState {
   std::vector<double> zipf_cdf;
   std::vector<double> latencies_ms;
   std::vector<uint64_t> histogram;
+
+  friend bool operator==(const TenantLoopState&, const TenantLoopState&) = default;
 };
 
 /// Per-class contention accounting.
@@ -74,6 +78,8 @@ struct ClassLoopStats {
   double service_cycles = 0;  ///< observed (contended) service time
   double scale_cycles = 0;
   double run_cycles = 0;
+
+  friend bool operator==(const ClassLoopStats&, const ClassLoopStats&) = default;
 };
 
 /// One SLO epoch window being accumulated (latencies completed inside it
@@ -84,6 +90,8 @@ struct EpochAccState {
   std::map<std::string, std::vector<double>> class_lat;
   uint32_t max_running = 0;
   uint32_t max_queued = 0;
+
+  friend bool operator==(const EpochAccState&, const EpochAccState&) = default;
 };
 
 /// Everything Server::TryRun mutates between events.
@@ -114,6 +122,8 @@ struct LoopState {
   int epoch_index = 0;
   double epoch_start = 0;  ///< cycles
   std::vector<obs::EpochRecord> epochs;
+
+  friend bool operator==(const LoopState&, const LoopState&) = default;
 };
 
 }  // namespace uolap::server

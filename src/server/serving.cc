@@ -71,6 +71,67 @@ double Percentile(const std::vector<double>& sorted, double q) {
   return sorted[rank - 1];
 }
 
+/// Why a restored snapshot cannot drive this server's loop ("" when it
+/// can). A valid CRC proves only that the bytes are the ones written, so
+/// every restored value the loop uses as an index is bounds-checked here:
+/// recovery fails loudly instead of reading out of range.
+std::string RestoredStateError(const CheckpointSnapshot& snap,
+                               const std::vector<TenantConfig>& tenants,
+                               size_t num_classes, size_t cores) {
+  const LoopState& st = snap.state;
+  if (st.tenants.size() != tenants.size() ||
+      st.classes.size() != num_classes || st.slots.size() != cores) {
+    return "tenant/class/core-pool shape differs from this server's";
+  }
+  auto n = [](auto v) { return std::to_string(v); };
+  if (snap.admission_models.size() != num_classes) {
+    return "admission_models.size() " + n(snap.admission_models.size()) +
+           " != " + n(num_classes) + " classes";
+  }
+  for (size_t t = 0; t < tenants.size(); ++t) {
+    if (st.tenants[t].zipf_cdf.size() != tenants[t].catalog.size()) {
+      return "tenants[" + n(t) + "].zipf_cdf.size() " +
+             n(st.tenants[t].zipf_cdf.size()) + " != catalog size " +
+             n(tenants[t].catalog.size());
+    }
+  }
+  if (st.queue_head > st.queue.size()) {
+    return "queue_head " + n(st.queue_head) + " > queue.size() " +
+           n(st.queue.size());
+  }
+  auto instance_error = [&](const std::string& where,
+                            const QueryInstance& q) -> std::string {
+    if (q.tenant < 0 || static_cast<size_t>(q.tenant) >= tenants.size()) {
+      return where + ".tenant " + n(q.tenant) + " outside [0, " +
+             n(tenants.size()) + ")";
+    }
+    if (q.cls >= num_classes) {
+      return where + ".cls " + n(q.cls) + " outside [0, " + n(num_classes) +
+             ")";
+    }
+    const size_t clients = st.tenants[static_cast<size_t>(q.tenant)]
+                               .client_wake.size();
+    if (q.client < -1 ||
+        (q.client >= 0 && static_cast<size_t>(q.client) >= clients)) {
+      return where + ".client " + n(q.client) + " outside [-1, " +
+             n(clients) + ")";
+    }
+    return "";
+  };
+  std::string err;
+  for (size_t i = 0; i < st.slots.size() && err.empty(); ++i) {
+    if (st.slots[i].tenant == -1) continue;  // a free core slot
+    err = instance_error("slots[" + n(i) + "]", st.slots[i]);
+  }
+  for (size_t i = st.queue_head; i < st.queue.size() && err.empty(); ++i) {
+    err = instance_error("queue[" + n(i) + "]", st.queue[i]);
+  }
+  for (size_t i = 0; i < st.retry_queue.size() && err.empty(); ++i) {
+    err = instance_error("retry_queue[" + n(i) + "]", st.retry_queue[i]);
+  }
+  return err;
+}
+
 }  // namespace
 
 Server::Server(const ServerConfig& config, engine::EngineRegistry& registry)
@@ -716,12 +777,12 @@ StatusOr<ServeResult> Server::TryRun() {
           "checkpoint in '" + ck.dir +
           "' was written against different class profiles");
     }
-    if (rec.snapshot.state.tenants.size() != tenants_.size() ||
-        rec.snapshot.state.classes.size() != classes_.size() ||
-        rec.snapshot.state.slots.size() != static_cast<size_t>(cores)) {
+    const std::string invalid =
+        RestoredStateError(rec.snapshot, tenants_, classes_.size(),
+                           static_cast<size_t>(cores));
+    if (!invalid.empty()) {
       return Status::FailedPrecondition(
-          "checkpoint in '" + ck.dir +
-          "' does not match the tenant/class/core-pool shape");
+          "checkpoint in '" + ck.dir + "' is inconsistent: " + invalid);
     }
     if (rec.skipped_snapshots > 0) {
       std::fprintf(stderr,

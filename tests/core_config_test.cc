@@ -16,7 +16,6 @@ TEST(MachineConfigTest, BroadwellMatchesPaperTable1) {
   EXPECT_EQ(m.l2.miss_latency_cycles, 26u);
   EXPECT_EQ(m.l3.size_bytes, 35ull * 1024 * 1024);
   EXPECT_EQ(m.l3.miss_latency_cycles, 160u);
-  EXPECT_TRUE(m.l3_inclusive);
   EXPECT_DOUBLE_EQ(m.bandwidth.per_core_seq_gbps, 12.0);
   EXPECT_DOUBLE_EQ(m.bandwidth.per_core_rand_gbps, 7.0);
   EXPECT_DOUBLE_EQ(m.bandwidth.per_socket_seq_gbps, 66.0);
@@ -28,7 +27,6 @@ TEST(MachineConfigTest, SkylakeMatchesPaperSection2) {
   const MachineConfig m = MachineConfig::Skylake();
   EXPECT_EQ(m.l2.size_bytes, 1024u * 1024);     // "significantly larger L2"
   EXPECT_EQ(m.l3.size_bytes, 16ull * 1024 * 1024);  // smaller L3
-  EXPECT_FALSE(m.l3_inclusive);                 // non-inclusive
   EXPECT_DOUBLE_EQ(m.bandwidth.per_core_seq_gbps, 10.0);   // smaller/core
   EXPECT_DOUBLE_EQ(m.bandwidth.per_socket_seq_gbps, 87.0);  // larger/socket
   EXPECT_EQ(m.exec.simd_width_bits, 512u);      // AVX-512

@@ -1,17 +1,23 @@
 // Adversarial inputs for every text parser on the serving surface: the
 // strict JSON reader (obs/json.h), the SLO clause grammar (obs/slo.h),
-// and the fault-plan grammar (server/fault.h). Each case must come back
+// the fault-plan grammar (server/fault.h), and the checkpoint snapshot
+// codec (server/checkpoint.h). Each case must come back
 // as a clean InvalidArgument-style Status — never a crash, hang, or
 // unbounded recursion/allocation. CI runs this binary under ASan/UBSan,
 // which turns "looks fine" stack abuse into hard failures.
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/slo.h"
+#include "server/checkpoint.h"
 #include "server/fault.h"
 
 namespace uolap {
@@ -156,6 +162,35 @@ TEST(FaultPlanAdversarialTest, MalformedPlansFailCleanly) {
   }
   EXPECT_TRUE(server::ParseFaultPlan("").ok());
   EXPECT_TRUE(server::ParseFaultPlan("seed=7,fail=0.1,slow=0.2,x=2").ok());
+}
+
+// --- checkpoint snapshots --------------------------------------------------
+
+TEST(SnapshotAdversarialTest, OutOfRangeMetricKindIsRejected) {
+  server::CheckpointSnapshot snap;
+  obs::MetricsRegistry reg;
+  reg.Count("server.testing_total", 5);
+  snap.metrics = reg.Snapshot();
+  const std::string good = server::EncodeSnapshot(snap);
+  // The kind byte follows the family name; re-seal the CRC after each
+  // edit so only the kind range check stands between it and a decode.
+  const std::string name = "server.testing_total";
+  const size_t kind_at = good.find(name) + name.size();
+  ASSERT_LT(kind_at, good.size());
+  auto with_kind = [&](uint8_t kind) {
+    std::string bytes = good;
+    bytes[kind_at] = static_cast<char>(kind);
+    const uint32_t crc =
+        Crc32c(std::string_view(bytes).substr(0, bytes.size() - 4));
+    std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+    return bytes;
+  };
+  for (const uint8_t kind : {0, 1, 2}) {
+    EXPECT_TRUE(server::DecodeSnapshot(with_kind(kind)).ok()) << int{kind};
+  }
+  for (const uint8_t kind : {3, 4, 0x7F, 0xFF}) {
+    EXPECT_FALSE(server::DecodeSnapshot(with_kind(kind)).ok()) << int{kind};
+  }
 }
 
 }  // namespace

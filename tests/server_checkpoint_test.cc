@@ -4,8 +4,9 @@
 // the resumed child's profile JSON is byte-identical to the
 // uninterrupted one. Around it: CRC32C known-answer vectors, journal
 // framing and torn-tail tolerance, snapshot encode/decode round-trips,
-// bit-exact MetricsRegistry restore, and the recovery failure modes
-// (missing directory, corrupt newest snapshot, nothing valid at all).
+// pinned snapshot/journal/fingerprint bytes, bit-exact MetricsRegistry
+// restore, and the recovery failure modes (missing directory, corrupt
+// newest snapshot, nothing valid at all, out-of-range restored indices).
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -27,7 +28,9 @@
 #include "harness/engines.h"
 #include "obs/metrics.h"
 #include "obs/profile_export.h"
+#include "obs/slo.h"
 #include "server/checkpoint.h"
+#include "server/fault.h"
 #include "server/journal.h"
 #include "server/serving.h"
 #include "tpch/dbgen.h"
@@ -206,35 +209,160 @@ TEST(JournalEventTest, RejectsGarbage) {
 
 // --- snapshot encode/decode ------------------------------------------------
 
+// The sample gives every field of every persisted struct a distinct
+// non-default value (bools alternate across instances): a codec that
+// drops, reorders or swaps two same-typed fields changes the pinned
+// bytes, and a writer/reader mismatch breaks decoded == original.
+QueryInstance SampleInstance(int k) {
+  QueryInstance q;
+  q.tenant = k;
+  q.cls = 10 + static_cast<uint64_t>(k);
+  q.client = 20 + k;
+  q.seq = 1000 + static_cast<uint64_t>(k);
+  q.sampled = k % 2 == 1;
+  q.arrival = 100.5 + k;
+  q.start = 101.25 + k;
+  q.remaining = 0.375 + k / 64.0;
+  q.scale_cycles = 7e5 + k;
+  q.run_cycles = 8e5 + k;
+  q.attempt = 3 + k;
+  q.deadline = 9e6 + k;
+  q.est_ms = 2.125 + k;
+  q.cancel_remaining = 0.0625 + k / 128.0;
+  q.retry_ready = 5e5 + k;
+  q.will_fail = k % 2 == 0;
+  q.slow = 1.75 + k;
+  return q;
+}
+
+TenantLoopState SampleTenant(int k) {
+  const uint64_t b = 100 * static_cast<uint64_t>(k);
+  TenantLoopState t;
+  t.rng = Rng(99 + b);
+  t.rng.Next();
+  t.cap = b + 1;
+  t.submitted = b + 2;
+  t.completed = b + 3;
+  t.rejected = b + 4;
+  t.shed = b + 5;
+  t.timed_out = b + 6;
+  t.failed = b + 7;
+  t.retries = b + 8;
+  t.next_open_arrival = 3.5e6 + k;
+  t.client_wake = {1.5 + k, 2.5 + k};
+  t.zipf_cdf = {0.25 + k / 8.0, 1.0};
+  t.latencies_ms = {4.5 + k, 5.5 + k, 6.5 + k};
+  t.histogram = {b + 9, b + 10};
+  return t;
+}
+
+obs::WindowStat SampleWindow(const std::string& subject, int k) {
+  obs::WindowStat w;
+  w.subject = subject;
+  w.completed = 30 + static_cast<uint64_t>(k);
+  w.p50_ms = 1.125 + k;
+  w.p95_ms = 2.25 + k;
+  w.p99_ms = 3.375 + k;
+  return w;
+}
+
+obs::MetricFamily SampleFamily(const std::string& name, obs::MetricKind kind,
+                               int k) {
+  obs::MetricFamily f;
+  f.name = name;
+  f.kind = kind;
+  for (int i = 0; i < 2; ++i) {
+    obs::MetricSeries s;
+    s.label_key = "tenant";
+    s.label_value = "t" + std::to_string(k) + std::to_string(i);
+    s.counter = 40 + static_cast<uint64_t>(10 * k + i);
+    s.gauge = 4.5 + k + i;
+    s.histogram.buckets = {static_cast<uint64_t>(k + 1), 2, 3};
+    s.histogram.count = 50 + static_cast<uint64_t>(k);
+    s.histogram.sum_micro = 6000000 + static_cast<uint64_t>(k);
+    f.series.push_back(std::move(s));
+  }
+  return f;
+}
+
 CheckpointSnapshot SampleSnapshot() {
   CheckpointSnapshot snap;
   snap.config_fingerprint = 0xDEADBEEFCAFEF00Dull;
   snap.class_digest = 0x1234ABCDu;
   snap.epoch_index = 7;
   snap.freq_ghz = 2.2;
-  snap.state.vtime = 1.5e9;
-  snap.state.queue_head = 0;
-  snap.state.tenants.resize(2);
-  snap.state.tenants[0].submitted = 11;
-  snap.state.tenants[0].zipf_cdf = {0.5, 1.0};
-  snap.state.tenants[0].latencies_ms = {1.25, 2.5};
-  snap.state.tenants[1].rng = Rng(99);
-  snap.state.classes.resize(1);
-  snap.state.classes[0].executions = 4;
-  QueryInstance inst;
-  inst.tenant = 1;
-  inst.cls = 0;
-  inst.seq = 42;
-  snap.state.queue.push_back(inst);
-  snap.state.slots.resize(2);
-  snap.state.slots[0] = inst;  // tenant >= 0 marks the slot occupied
-  snap.admission_models.resize(1);
-  snap.admission_models[0].est_ms = 3.25;
-  snap.admission_models[0].count = 9;
-  obs::MetricsRegistry reg;
-  reg.Count("server.testing_total", 5);
-  reg.Observe("server.testing_ms", 1.75);
-  snap.metrics = reg.Snapshot();
+
+  LoopState& st = snap.state;
+  st.vtime = 1.5e9;
+  st.tenants = {SampleTenant(0), SampleTenant(1)};
+  for (int c = 0; c < 2; ++c) {
+    ClassLoopStats cs;
+    cs.executions = 60 + static_cast<uint64_t>(c);
+    cs.service_cycles = 6.25e5 + c;
+    cs.scale_cycles = 6.5e5 + c;
+    cs.run_cycles = 6.75e5 + c;
+    st.classes.push_back(cs);
+  }
+  st.slots = {SampleInstance(0), SampleInstance(1)};
+  st.queue = {SampleInstance(2), SampleInstance(3)};
+  st.retry_queue = {SampleInstance(4)};
+  st.queue_head = 1;
+  st.queued_est_ms = 8.5;
+  st.faults_injected = 71;
+  st.slowdowns_injected = 72;
+  st.brownout_downgrades = 73;
+  st.total_bytes = 9.75e8;
+  st.peak_gbps = 11.5;
+  st.saturated = true;
+  st.timeline = {obs::QueueSample{0.5, 1, 2}, obs::QueueSample{1.5, 3, 4}};
+  st.engine_latencies = {{"rowstore", {12.5, 13.5}}, {"typer", {14.5}}};
+  st.seq_counter = 74;
+  for (int i = 0; i < 2; ++i) {
+    obs::QuerySpan span;
+    span.seq = 80 + static_cast<uint64_t>(i);
+    span.tenant = "tenant" + std::to_string(i);
+    span.cls = "typer/q" + std::to_string(i);
+    span.arrival_ms = 15.5 + i;
+    span.start_ms = 16.5 + i;
+    span.end_ms = 17.5 + i;
+    span.core = 1 + i;
+    span.outcome = i == 0 ? "shed" : "timed_out";
+    span.attempts = 2 + static_cast<uint32_t>(i);
+    st.spans.push_back(span);
+  }
+  st.all_latencies = {18.5, 19.5, 20.5};
+  st.cur_running = 75;
+  st.cur_queued = 76;
+  st.peak_queued = 77;
+  st.acc.lat = {21.5, 22.5};
+  st.acc.tenant_lat = {{"scans", {23.5}}, {"adhoc", {24.5, 25.5}}};
+  st.acc.class_lat = {{"typer/q6", {26.5, 27.5}}};
+  st.acc.max_running = 78;
+  st.acc.max_queued = 79;
+  st.epoch_index = 9;
+  st.epoch_start = 2.75e6;
+  for (int e = 0; e < 2; ++e) {
+    obs::EpochRecord rec;
+    rec.index = 5 + e;
+    rec.start_ms = 28.5 + e;
+    rec.end_ms = 29.75 + e;
+    rec.completed = 90 + static_cast<uint64_t>(e);
+    rec.p50_ms = 30.5 + e;
+    rec.p95_ms = 31.5 + e;
+    rec.p99_ms = 32.5 + e;
+    rec.max_running = 92 + static_cast<uint32_t>(e);
+    rec.max_queued = 94 + static_cast<uint32_t>(e);
+    rec.tenants = {SampleWindow("adhoc", e), SampleWindow("scans", e + 2)};
+    rec.classes = {SampleWindow("typer/q6", e + 4)};
+    st.epochs.push_back(rec);
+  }
+
+  snap.admission_models = {AdmissionController::ClassModel{3.25, 9},
+                           AdmissionController::ClassModel{4.75, 11}};
+  snap.metrics.families = {
+      SampleFamily("server.depth", obs::MetricKind::kGauge, 0),
+      SampleFamily("server.latency_ms", obs::MetricKind::kHistogram, 1),
+      SampleFamily("server.queries_total", obs::MetricKind::kCounter, 2)};
   return snap;
 }
 
@@ -243,12 +371,84 @@ TEST(SnapshotTest, EncodeDecodeRoundTripsBitExactly) {
   const std::string bytes = EncodeSnapshot(snap);
   const auto back = DecodeSnapshot(bytes);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  // Re-encoding the decoded snapshot must reproduce the input byte for
-  // byte — this covers every serialized field at once.
+  EXPECT_EQ(back.value(), snap);
   EXPECT_EQ(EncodeSnapshot(back.value()), bytes);
-  EXPECT_EQ(back.value().epoch_index, 7);
-  EXPECT_EQ(back.value().state.tenants.size(), 2u);
-  EXPECT_EQ(back.value().metrics, snap.metrics);
+}
+
+// The on-disk format is pinned: an old checkpoint must keep resuming, so
+// these goldens never move without a kSnapshotVersion bump.
+TEST(SnapshotFormatTest, SnapshotBytesArePinned) {
+  const std::string bytes = EncodeSnapshot(SampleSnapshot());
+  EXPECT_EQ(bytes.size(), 2515u);
+  // The CRC of the bytes before the trailing CRC32C, i.e. the stored CRC.
+  // A CRC over the whole file, its own CRC included, is one constant for
+  // every well-formed snapshot and would pin nothing.
+  EXPECT_EQ(Crc32c(std::string_view(bytes).substr(0, bytes.size() - 4)),
+            0x9E699A66u);
+}
+
+TEST(SnapshotFormatTest, JournalEventBytesArePinned) {
+  constexpr std::array<uint32_t, 7> kCrc = {
+      0xD9A6DE50u, 0x39E51793u, 0x419303EFu, 0xD4EADB76u,
+      0x7F85897Cu, 0x891ACA77u, 0x1A466308u};
+  for (uint8_t t = 1; t <= 7; ++t) {
+    JournalEvent ev;
+    ev.type = static_cast<JournalEventType>(t);
+    ev.seq = 0x0102030405060708ull * t;
+    ev.tenant = 10 + t;
+    ev.attempt = 20u + t;
+    ev.vtime_ms = 1.5 * t;
+    const std::string payload = EncodeJournalEvent(ev);
+    EXPECT_EQ(payload.size(), 25u) << JournalEventTypeName(ev.type);
+    EXPECT_EQ(Crc32c(std::string_view(payload)), kCrc[t - 1u])
+        << JournalEventTypeName(ev.type);
+    const auto back = DecodeJournalEvent(payload);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value(), ev);
+  }
+}
+
+TEST(SnapshotFormatTest, ServingConfigFingerprintIsPinned) {
+  ServerConfig config;
+  config.machine = core::MachineConfig::Broadwell();
+  config.cores = 3;
+  config.default_max_queries = 40;
+  config.epoch_ms = 2.5;
+  config.trace_sample_n = 4;
+  config.slos = obs::ParseSloSpecs("*:p99<50ms,scans:p95<20ms").value();
+  config.admission.policy = ShedPolicy::kBoth;
+  config.admission.default_deadline_ms = 30;
+  config.admission.safety_factor = 1.25;
+  config.admission.tenant_shed_quota = 6;
+  config.admission.protect_priority = 2;
+  config.retry.max_retries = 2;
+  config.retry.backoff_base_ms = 0.5;
+  config.retry.backoff_multiplier = 3;
+  config.retry.backoff_jitter = 0.25;
+  config.brownout.queue_depth = 5;
+  config.brownout.downgrade = {{"rowstore", "typer"}};
+  config.faults = ParseFaultPlan("seed=7,fail=0.1,slow=0.2,x=2,epoch=3")
+                      .value();
+  config.checkpoint.every_epochs = 4;
+  TenantConfig scans;
+  scans.name = "scans";
+  scans.engine = "typer";
+  scans.catalog = {engine::QuerySpec::Projection(4),
+                   engine::QuerySpec::Q6(engine::MakeQ6Params())};
+  scans.zipf_s = 0.5;
+  scans.concurrency = 3;
+  scans.think_ms = 0.05;
+  scans.max_queries = 12;
+  scans.seed = 7;
+  scans.priority = 1;
+  TenantConfig adhoc;
+  adhoc.name = "adhoc";
+  adhoc.engine = "rowstore";
+  adhoc.catalog = {engine::QuerySpec::Projection(2)};
+  adhoc.arrival_qps = 400;
+  adhoc.seed = 8;
+  EXPECT_EQ(ServingConfigFingerprint(config, {scans, adhoc}),
+            0xEE96FFFB8858A451ull);
 }
 
 TEST(SnapshotTest, DetectsCorruptionTruncationAndWrongMagic) {
@@ -402,8 +602,11 @@ class CheckpointServeTest : public ::testing::Test {
       AddTenants(server);
       StatusOr<ServeResult> run = server.TryRun();
       if (!run.ok()) {
-        std::fprintf(stderr, "child: %s\n", run.status().ToString().c_str());
-        std::_Exit(3);
+        // The failure lands where the profile would have, so tests can
+        // assert on why the run refused.
+        const std::string why = run.status().ToString();
+        std::fprintf(stderr, "child: %s\n", why.c_str());
+        std::_Exit(obs::WriteTextFile(spec.json_path, why).ok() ? 3 : 4);
       }
       obs::ProfileSession session;
       session.bench = "server_checkpoint_test";
@@ -591,6 +794,100 @@ TEST_F(CheckpointServeTest, ResumeRejectsAMismatchedConfiguration) {
   const StatusOr<ServeResult> run = server.TryRun();
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(CheckpointServeTest, ResumeRejectsOutOfRangeRestoredIndices) {
+  // Each case decodes a real snapshot, corrupts one value the loop uses
+  // as an index, and re-encodes it with a valid CRC. Resume must refuse
+  // with a message naming the corrupted value instead of reading out of
+  // bounds.
+  using Corrupt = void (*)(CheckpointSnapshot&);
+  struct Case {
+    const char* name;  ///< must appear in the failure message
+    Corrupt corrupt;
+  };
+  // Valid except for what each case changes: "adhoc" (tenant 1) is
+  // open-loop, so client -1.
+  static const auto valid = [](const CheckpointSnapshot& s) {
+    QueryInstance q;
+    q.tenant = 1;
+    q.cls = s.state.classes.size() - 1;
+    return q;
+  };
+  const std::vector<Case> cases = {
+      {"slots[0].cls",
+       [](CheckpointSnapshot& s) {
+         s.state.slots[0] = valid(s);
+         s.state.slots[0].cls = s.state.classes.size();
+       }},
+      {"queue[0].cls",
+       [](CheckpointSnapshot& s) {
+         s.state.queue.insert(s.state.queue.begin(), valid(s));
+         s.state.queue[0].cls = s.state.classes.size();
+       }},
+      {"retry_queue[0].cls",
+       [](CheckpointSnapshot& s) {
+         s.state.retry_queue.insert(s.state.retry_queue.begin(), valid(s));
+         s.state.retry_queue[0].cls = s.state.classes.size() + 7;
+       }},
+      {"queue[0].tenant",
+       [](CheckpointSnapshot& s) {
+         s.state.queue.insert(s.state.queue.begin(), valid(s));
+         s.state.queue[0].tenant = 2;
+       }},
+      {"slots[0].client",
+       [](CheckpointSnapshot& s) {
+         s.state.slots[0] = valid(s);
+         s.state.slots[0].tenant = 0;  // "scans": three closed-loop clients
+         s.state.slots[0].client = 3;
+       }},
+      {"queue_head",
+       [](CheckpointSnapshot& s) {
+         s.state.queue_head = s.state.queue.size() + 1;
+       }},
+      {"tenants[0].zipf_cdf",
+       [](CheckpointSnapshot& s) { s.state.tenants[0].zipf_cdf.pop_back(); }},
+      {"admission_models",
+       [](CheckpointSnapshot& s) { s.admission_models.pop_back(); }},
+  };
+
+  // Child 0 writes the checkpoints; child i > 0 resumes case i - 1. All
+  // paths have one length, so every child allocates the same heap layout
+  // and simulates the same class profiles (the class digest guard).
+  const std::string tmp = TempDir();
+  std::vector<ChildSpec> specs;
+  for (size_t i = 0; i <= cases.size(); ++i) {
+    const std::string id = std::to_string(10 + i);
+    CheckpointConfig ckpt;
+    ckpt.dir = tmp + "/ck" + id;
+    ckpt.every_epochs = 2;
+    ckpt.resume = i > 0;
+    specs.push_back({ckpt, tmp + "/out" + id + ".txt", ""});
+  }
+  const CheckpointConfig& base = specs[0].ckpt;
+  ChildGroup group(specs);
+  ASSERT_EQ(group.Run(0), 0);
+
+  const auto summary = InspectCheckpointDir(base.dir);
+  ASSERT_TRUE(summary.ok());
+  ASSERT_GE(summary.value().resume_index, 0);
+  const std::string bytes = MustRead(
+      base.dir + "/" + SnapshotFileName(summary.value().resume_index));
+  const auto original = DecodeSnapshot(bytes);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  ASSERT_GE(original.value().state.classes.size(), 1u);
+
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].name);
+    CheckpointSnapshot crafted = original.value();
+    cases[i].corrupt(crafted);
+    ASSERT_TRUE(WriteSnapshotFile(specs[i + 1].ckpt.dir, crafted).ok());
+    ASSERT_TRUE(DecodeSnapshot(EncodeSnapshot(crafted)).ok());
+    EXPECT_EQ(group.Run(i + 1), 3);
+    const std::string why = MustRead(specs[i + 1].json_path);
+    EXPECT_NE(why.find("FailedPrecondition"), std::string::npos) << why;
+    EXPECT_NE(why.find(cases[i].name), std::string::npos) << why;
+  }
 }
 
 TEST_F(CheckpointServeTest, InspectSummarizesTheDirectory) {
