@@ -30,7 +30,8 @@
 #include "core/machine.h"
 #include "engine/hash_table.h"
 #include "engines/typer/typer_engine.h"
-#include "harness/profile.h"
+#include "harness/thread_pool.h"
+#include "obs/profile_run.h"
 #include "tpch/dbgen.h"
 
 namespace {
@@ -234,19 +235,28 @@ void WriteSimThroughputJson(const char* path) {
   const double n = static_cast<double>(db.value().lineitem.size());
   constexpr int kThreads = 4;
 
+  // Every measured run is one obs::ProfileRun, profiler hooks included.
+  // Multi-core runs put their worker bodies on the global ThreadPool.
+  auto profile = [&](uint32_t cores, auto&& query) {
+    uolap::obs::ProfileRun(
+        cfg, cores, {}, "sim_micro", [&](uolap::core::Machine& m) {
+          Workers w(m, cores > 1 ? &uolap::harness::ThreadPool::Global()
+                                 : nullptr);
+          query(w);
+        });
+  };
+
   // Each single-core workload is a best-of-3 interleaved reference/fast
   // pair on process-CPU time (see RefFastSeconds); newly constructed
-  // cores (the harness makes one per profile) inherit the process-wide
-  // reference-paths default.
+  // cores (ProfileRun makes one machine per run) inherit the
+  // process-wide reference-paths default.
   const auto [ref_scan_s, scan_s] = RefFastSeconds([&] {
-    return TimeItCpu([&] {
-      uolap::harness::ProfileSingle(
-          cfg, [&](Workers& w) { typer.Projection(w, 4); });
-    });
+    return TimeItCpu(
+        [&] { profile(1, [&](Workers& w) { typer.Projection(w, 4); }); });
   });
   const auto [ref_probe_s, probe_s] = RefFastSeconds([&] {
     return TimeItCpu([&] {
-      uolap::harness::ProfileSingle(cfg, [&](Workers& w) {
+      profile(1, [&](Workers& w) {
         typer.Join(w, uolap::engine::JoinSize::kLarge);
       });
     });
@@ -255,8 +265,7 @@ void WriteSimThroughputJson(const char* path) {
       RefFastSeconds([&] { return RandomProbeSeconds(kRandomProbes); });
   MemorySystem::SetReferencePathsDefault(false);
   const double multi_s = TimeIt([&] {
-    uolap::harness::ProfileMulti(
-        cfg, kThreads, [&](Workers& w) { typer.Projection(w, 4); });
+    profile(kThreads, [&](Workers& w) { typer.Projection(w, 4); });
   });
 
   const double r = static_cast<double>(kRandomProbes);
@@ -306,13 +315,12 @@ void WriteSimThroughputJson(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --out=PATH (alias --sim-json=PATH) names the throughput JSON. The
-  // default lives NEXT TO THE BINARY, not in the working directory: a
-  // spot-check run from the repo root must never overwrite the tracked
-  // perf-history BENCH_sim.json (that clobber has happened). Empty skips
-  // the throughput section, which CI uses to spot-check the
-  // google-benchmark pairs cheaply. Stripped before google-benchmark
-  // sees argv.
+  // --out=PATH names the throughput JSON. The default lives NEXT TO THE
+  // BINARY, not in the working directory: a spot-check run from the repo
+  // root must never overwrite the tracked perf-history BENCH_sim.json
+  // (that clobber has happened). Empty skips the throughput section,
+  // which CI uses to spot-check the google-benchmark pairs cheaply.
+  // Stripped before google-benchmark sees argv.
   std::string sim_json = "BENCH_sim.json";
   if (const char* slash = std::strrchr(argv[0], '/')) {
     sim_json.assign(argv[0], static_cast<size_t>(slash + 1 - argv[0]));
@@ -321,9 +329,7 @@ int main(int argc, char** argv) {
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--sim-json=", 11) == 0) {
-      sim_json = arg + 11;
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
+    if (std::strncmp(arg, "--out=", 6) == 0) {
       sim_json = arg + 6;
     } else {
       argv[out++] = argv[i];

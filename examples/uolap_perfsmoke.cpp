@@ -30,10 +30,10 @@
 #include "core/core.h"
 #include "core/calibration.h"
 #include "core/machine.h"
-#include "obs/attribution.h"
+#include "core/memory_system.h"
 #include "obs/profile_export.h"
+#include "obs/profile_run.h"
 #include "obs/record.h"
-#include "obs/region_profiler.h"
 
 namespace {
 
@@ -112,34 +112,19 @@ void ProbePhase(core::Core& core) {
 
 obs::ProfileSession RunSmoke(bool reference) {
   const core::MachineConfig cfg = core::MachineConfig::Broadwell();
-  core::Machine machine(cfg, 1);
-  core::Core& core = machine.core(0);
-  core.SetReferencePaths(reference);
-  obs::RegionProfiler prof(
-      core, obs::RegionProfiler::Options{/*sample_interval=*/100000});
-
-  ScanPhase(core);
-  StridePhase(core);
-  ProbePhase(core);
-  machine.FinalizeAll();
-
-  obs::CoreRecord rec;
-  rec.whole = machine.AnalyzeCore(0);
-  rec.regions = prof.Finish();
-  obs::AnalyzeTree(cfg, &rec.regions, 1.0);
-  rec.timeline = prof.timeline();
-  rec.events = prof.events();
-  rec.begin = prof.begin_counters();
-
-  obs::RunRecord run;
-  run.label = "perfsmoke";
-  run.threads = 1;
-  run.config = cfg;
-  run.bw_scale = 1.0;
-  run.makespan_cycles = rec.whole.total_cycles;
-  run.time_ms = rec.whole.time_ms;
-  run.socket_bandwidth_gbps = rec.whole.bandwidth_gbps;
-  run.cores.push_back(std::move(rec));
+  core::MemorySystem::SetReferencePathsDefault(reference);
+  obs::RunRecord run =
+      obs::ProfileRun(cfg, 1,
+                      obs::RegionProfiler::Options{
+                          /*sample_interval_instructions=*/100000},
+                      "perfsmoke",
+                      [](core::Machine& machine) {
+                        core::Core& core = machine.core(0);
+                        ScanPhase(core);
+                        StridePhase(core);
+                        ProbePhase(core);
+                      })
+          .record;
 
   obs::ProfileSession session;
   session.bench = "uolap_perfsmoke";

@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
   config.cores = cores;
   config.default_max_queries = queries;
   config.sample_interval_instructions =
-      ctx.obs_options().sample_interval_instructions;
+      ctx.profiler_options().sample_interval_instructions;
   config.epoch_ms = epoch_ms;
   config.trace_sample_n = ParseTraceSample(trace_sample);
   config.slos = slos.value();

@@ -11,7 +11,8 @@ families (run with --list-rules for the full table):
                        graph, plus file-level cycle detection
   CON-*  contracts     region RAII + pairing, central metric names,
                        test-only hook confinement, include guards,
-                       own-header-first, storage discipline
+                       own-header-first, storage discipline, checked
+                       persistence I/O, no unread config knobs
 
 Usage:
   python3 scripts/analyze [dirs...] [options]

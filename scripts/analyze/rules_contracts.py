@@ -17,13 +17,15 @@ token/structure model:
   * structure — include guards, own-header-first, no file-scope
     using-directives in headers, and the storage discipline (charge
     through the Core/ColumnView API, not raw ``memory()``).
+  * config knobs — every field of a *Config/*Policy/*Plan struct is read
+    by the code it configures.
 """
 
 import os
 import re
 
 from engine import Rule
-from cpptok import KIND_IDENT, KIND_STRING
+from cpptok import KIND_IDENT, KIND_STRING, match_forward
 
 # Engine-level code: operator implementations and drivers that must go
 # through the sanctioned RAII/charging APIs.
@@ -409,6 +411,136 @@ def check_io_checked(ctx, rule, sf):
                    "a Status, not as silent corruption at recovery time")
 
 
+# --- CON-CONFIG-READ ------------------------------------------------------
+
+# A config knob the model never reads is a lie in the API: setting it
+# silently changes nothing (MachineConfig::l3_inclusive was such a field).
+# Every data member of a src/ struct named *Config / *Policy / *Plan must
+# be read somewhere in src/, bench/ or examples/; reads from tests/ do not
+# count.  Any other occurrence of the member's name is a read, except a
+# plain assignment (`m.field = ...`, `.field = ...` designated init).
+# Conservative by design: a local variable that shares the name also
+# counts as a read, so the rule never flags a knob that is in use.
+_CONFIG_STRUCT_RE = re.compile(r"\w+(?:Config|Policy|Plan)$")
+_READ_DIRS = ("src", "bench", "examples")
+_MEMBER_SKIP = {"static", "friend", "using", "typedef", "enum", "struct",
+                "class", "union", "operator", "template", "public",
+                "private", "protected"}
+
+
+def _config_bodies(toks):
+    """Yields (struct name, open-brace index, close-brace index) for every
+    *Config/*Policy/*Plan definition in a token stream."""
+    for k, t in enumerate(toks):
+        if t.text not in ("struct", "class") or k + 1 >= len(toks):
+            continue
+        if k > 0 and toks[k - 1].text == "enum":
+            continue
+        name = toks[k + 1]
+        if name.kind != KIND_IDENT or not _CONFIG_STRUCT_RE.match(name.text):
+            continue
+        j = k + 2
+        while j < len(toks) and toks[j].text not in ("{", ";"):
+            j += 1
+        if j < len(toks) and toks[j].text == "{":
+            yield name.text, j, match_forward(toks, j, "{", "}")
+
+
+def _member_fields(toks, open_idx, close_idx):
+    """Data-member declarator tokens directly inside one struct body:
+    statements at body depth ending in ';' that declare no function."""
+    fields = []
+    stmt = []
+    depth = 0
+    k = open_idx + 1
+    while k < close_idx:
+        t = toks[k]
+        opened = depth
+        if t.text in ("(", "[", "{"):
+            depth += 1
+        elif t.text in (")", "]", "}"):
+            depth -= 1
+            if depth == 0 and t.text == "}":
+                # A member-function body (or nested type) ends here.
+                if k + 1 < close_idx and toks[k + 1].text == ";":
+                    k += 1
+                stmt = []
+                k += 1
+                continue
+        if depth == 0 and t.text == ":" and len(stmt) == 1:
+            stmt = []  # access specifier
+            k += 1
+            continue
+        if depth == 0 and t.text == ";":
+            field = _declared_name(stmt)
+            if field is not None:
+                fields.append(field)
+            stmt = []
+        else:
+            stmt.append((k, t, min(opened, depth)))
+        k += 1
+    return fields
+
+
+def _declared_name(stmt):
+    """The data member one member statement declares (one declarator per
+    statement, as the tree is written): the last identifier outside
+    template arguments before '=' / '{' / '[' / the end, or None for a
+    function declaration ('(' first) or a non-field statement."""
+    if not stmt or stmt[0][1].text in _MEMBER_SKIP:
+        return None
+    name = None
+    angle = 0  # template-argument depth of the declared type
+    for k, t, depth in stmt:
+        if depth > 0:
+            continue
+        if t.text in ("<", ">", ">>"):
+            angle += {"<": 1, ">": -1, ">>": -2}[t.text]
+        elif angle > 0:
+            continue
+        elif t.text == "(":
+            return None
+        elif t.text in ("=", "{", "["):
+            break
+        elif t.kind == KIND_IDENT:
+            name = (k, t)
+    return name
+
+
+def check_config_read(ctx, rule):
+    decls = []  # (sf, struct, token index, token)
+    for relpath in sorted(ctx.files):
+        sf = ctx.files[relpath]
+        if not sf.in_dirs(_SRC_DIRS):
+            continue
+        toks = sf.model.tokens
+        for struct, open_idx, close_idx in _config_bodies(toks):
+            for k, t in _member_fields(toks, open_idx, close_idx):
+                decls.append((sf, struct, k, t))
+    decl_sites = {(sf.relpath, k) for sf, _, k, _ in decls}
+    wanted = {t.text for _, _, _, t in decls}
+    read = set()
+    for relpath in sorted(ctx.files):
+        sf = ctx.files[relpath]
+        if not sf.in_dirs(_READ_DIRS):
+            continue
+        toks = sf.model.tokens
+        for k, t in enumerate(toks):
+            if t.kind != KIND_IDENT or t.text not in wanted:
+                continue
+            if (relpath, k) in decl_sites:
+                continue
+            if k + 1 < len(toks) and toks[k + 1].text == "=":
+                continue  # a write
+            read.add(t.text)
+    for sf, struct, _, t in decls:
+        if t.text not in read:
+            ctx.report(rule, sf, t.line,
+                       f"{struct}::{t.text} is never read in src/, bench/ "
+                       "or examples/; a config knob the model does not "
+                       "read must be deleted")
+
+
 RULES = [
     Rule("CON-REGION-RAW", "error", "contracts",
          "engine/bench code must use core::ScopedRegion, not raw "
@@ -440,4 +572,7 @@ RULES = [
     Rule("CON-IO-CHECKED", "error", "contracts",
          "persistence-surface write/flush/rename results must be "
          "consumed", check_io_checked),
+    Rule("CON-CONFIG-READ", "error", "contracts",
+         "every *Config/*Policy/*Plan field under src/ is read by "
+         "src/, bench/ or examples/", check_config_read, scope="tree"),
 ]

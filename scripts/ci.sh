@@ -369,7 +369,7 @@ perf_smoke build
 # full throughput JSON is produced by scripts/bench.sh, not CI.
 build/bench/bench_sim_micro \
   --benchmark_filter='BM_CoreRandomProbe' --benchmark_min_time=0.05 \
-  --sim-json= >/dev/null
+  --out= >/dev/null
 
 echo "=== determinism gate ==="
 if setarch "$(uname -m)" -R true 2>/dev/null; then

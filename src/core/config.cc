@@ -27,10 +27,10 @@ MachineConfig MachineConfig::Broadwell() {
   m.sockets = 2;
   m.cores_per_socket = 14;
 
-  m.l1i = CacheConfig{32 * 1024, 8, 64, 16};
-  m.l1d = CacheConfig{32 * 1024, 8, 64, 16};
-  m.l2 = CacheConfig{256 * 1024, 8, 64, 26};
-  m.l3 = CacheConfig{35ull * 1024 * 1024, 20, 64, 160};
+  m.l1i = CacheConfig{32 * 1024, 8, 16};
+  m.l1d = CacheConfig{32 * 1024, 8, 16};
+  m.l2 = CacheConfig{256 * 1024, 8, 26};
+  m.l3 = CacheConfig{35ull * 1024 * 1024, 20, 160};
 
   m.exec.simd_width_bits = 256;  // AVX2; the paper notes no AVX-512 on BDW.
 
@@ -45,13 +45,13 @@ MachineConfig MachineConfig::Skylake() {
   m.sockets = 2;
   m.cores_per_socket = 14;
 
-  m.l1i = CacheConfig{32 * 1024, 8, 64, 14};
-  m.l1d = CacheConfig{32 * 1024, 8, 64, 14};
+  m.l1i = CacheConfig{32 * 1024, 8, 14};
+  m.l1d = CacheConfig{32 * 1024, 8, 14};
   // Significantly larger L2, smaller L3 (paper Section 2). The hardware
   // L3 is non-inclusive; the model fills every level inclusively for both
   // presets and never back-invalidates, so that policy is not modelled.
-  m.l2 = CacheConfig{1024 * 1024, 16, 64, 28};
-  m.l3 = CacheConfig{16ull * 1024 * 1024, 11, 64, 160};
+  m.l2 = CacheConfig{1024 * 1024, 16, 28};
+  m.l3 = CacheConfig{16ull * 1024 * 1024, 11, 160};
 
   m.exec.simd_width_bits = 512;  // AVX-512: the reason the paper uses SKX.
 

@@ -16,11 +16,11 @@ namespace uolap::core {
 struct CacheConfig {
   uint64_t size_bytes = 0;
   uint32_t associativity = 8;
-  uint32_t line_bytes = 64;
   uint32_t miss_latency_cycles = 0;
 
+  /// Lines are 64 bytes at every level (MemorySystem::kLineShift).
   uint64_t num_sets() const {
-    return size_bytes / (static_cast<uint64_t>(associativity) * line_bytes);
+    return size_bytes / (static_cast<uint64_t>(associativity) * 64);
   }
 };
 
@@ -33,9 +33,6 @@ struct PrefetcherConfig {
   bool l1_streamer = true;    ///< MSR bit 2: DCU streamer (L1 IP) prefetcher
   bool l1_next_line = true;   ///< MSR bit 3: DCU next-line prefetcher
 
-  /// How many cache lines the L2 streamer runs ahead of the demand stream.
-  uint32_t streamer_distance_lines = 20;
-
   bool AnyEnabled() const {
     return l2_streamer || l2_next_line || l1_streamer || l1_next_line;
   }
@@ -44,11 +41,11 @@ struct PrefetcherConfig {
 
   static PrefetcherConfig AllEnabled() { return PrefetcherConfig{}; }
   static PrefetcherConfig AllDisabled() {
-    return PrefetcherConfig{false, false, false, false, 20};
+    return PrefetcherConfig{false, false, false, false};
   }
   static PrefetcherConfig Only(bool l2_str, bool l2_nl, bool l1_str,
                                bool l1_nl) {
-    return PrefetcherConfig{l2_str, l2_nl, l1_str, l1_nl, 20};
+    return PrefetcherConfig{l2_str, l2_nl, l1_str, l1_nl};
   }
 
   std::string ToString() const;
@@ -88,7 +85,6 @@ struct MachineConfig {
   double freq_ghz = 2.4;
   uint32_t sockets = 2;
   uint32_t cores_per_socket = 14;
-  bool hyper_threading = false;  ///< disabled in all paper experiments
 
   CacheConfig l1i;
   CacheConfig l1d;

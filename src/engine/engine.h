@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/core.h"
+#include "core/machine.h"
 #include "engine/query.h"
 #include "engine/query_spec.h"
 #include "engine/results.h"
@@ -43,6 +44,15 @@ struct Workers {
 
   explicit Workers(core::Core& single) : cores{&single} {}
   explicit Workers(std::vector<core::Core*> many) : cores(std::move(many)) {}
+  /// One worker per core of `machine`, in core order.
+  explicit Workers(core::Machine& machine,
+                   ParallelExecutor* exec = nullptr)
+      : executor(exec) {
+    cores.reserve(machine.num_cores());
+    for (size_t i = 0; i < machine.num_cores(); ++i) {
+      cores.push_back(&machine.core(i));
+    }
+  }
   size_t count() const { return cores.size(); }
 
   /// Runs `body(t)` for every worker `t` in [0, count()). Parallel when an

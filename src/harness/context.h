@@ -10,8 +10,11 @@
 #include "common/flags.h"
 #include "common/table_printer.h"
 #include "core/machine.h"
+#include "engine/engine.h"
 #include "engine/registry.h"
 #include "harness/profile.h"
+#include "harness/thread_pool.h"
+#include "obs/profile_run.h"
 #include "obs/record.h"
 #include "tpch/dbgen.h"
 
@@ -84,11 +87,10 @@ class BenchContext {
   void PrintHeader(const std::string& bench_name);
 
   // --- recorded profiling ---------------------------------------------
-  // These wrap harness::ProfileSingleObs/ProfileMultiObs: every run is
-  // recorded into the session (for --json/--trace) and the conventional
-  // analysis result is returned, so call sites read like the plain
-  // ProfileSingle/ProfileMulti they replace. Thread-safe: sweep drivers
-  // may profile concurrently (runs are sorted by label at export).
+  // Each call is one obs::ProfileRun: the run is recorded into the
+  // session (for --json/--trace) and its conventional analysis result is
+  // returned. Thread-safe: sweep drivers may profile concurrently (runs
+  // are sorted by label at export).
 
   /// Single-core profile on the context's machine.
   template <typename Fn>
@@ -100,29 +102,37 @@ class BenchContext {
   template <typename Fn>
   core::ProfileResult Profile(const std::string& label,
                               const core::MachineConfig& cfg, Fn&& fn) {
-    obs::RunRecord run =
-        ProfileSingleObs(cfg, obs_options(), label, std::forward<Fn>(fn));
-    core::ProfileResult result = run.cores[0].whole;
-    RecordRun(std::move(run));
+    obs::ProfiledRun run = obs::ProfileRun(
+        cfg, 1, profiler_options(), label, [&](core::Machine& m) {
+          engine::Workers w(m);
+          fn(w);
+        });
+    core::ProfileResult result = run.record.cores[0].whole;
+    RecordRun(std::move(run.record));
     return result;
   }
 
-  /// Multi-core profile on the context's machine (threaded executor).
+  /// Multi-core profile on the context's machine. The worker bodies run
+  /// on the global ThreadPool, bit-identical to a serial run.
   template <typename Fn>
   core::MultiCoreResult ProfileMulti(const std::string& label, int threads,
                                      Fn&& fn) {
-    auto [multi, run] = ProfileMultiObs(machine_, threads, obs_options(),
-                                        label, std::forward<Fn>(fn));
-    RecordRun(std::move(run));
-    return multi;
+    obs::ProfiledRun run = obs::ProfileRun(
+        machine_, static_cast<uint32_t>(threads), profiler_options(), label,
+        [&](core::Machine& m) {
+          engine::Workers w(m, &ThreadPool::Global());
+          fn(w);
+        });
+    RecordRun(std::move(run.record));
+    return std::move(run.multi);
   }
 
   /// The most recently recorded run (regions, timeline, whole-run
   /// analysis). Valid until the next Profile/ProfileMulti call.
   const obs::RunRecord& last_run() const { return last_run_; }
 
-  ObsOptions obs_options() const {
-    return ObsOptions{sample_interval_};
+  obs::RegionProfiler::Options profiler_options() const {
+    return obs::RegionProfiler::Options{sample_interval_};
   }
   /// True when --json, --trace, or --metrics was given.
   bool exporting() const {

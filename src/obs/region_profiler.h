@@ -67,7 +67,7 @@ struct RegionEvent {
 /// Records a region tree (and optionally a counter timeline) for one
 /// simulated core by observing its push/pop markers and batched
 /// accounting points. Attach one profiler per core; all state is per-core,
-/// which preserves the bit-determinism of threaded ProfileMulti runs.
+/// which preserves the bit-determinism of threaded multi-core runs.
 ///
 /// Usage:
 ///   RegionProfiler prof(core, {.sample_interval_instructions = 1 << 20});

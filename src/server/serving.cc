@@ -10,17 +10,14 @@
 #include <utility>
 #include <vector>
 
-#include "audit/invariants.h"
-#include "audit/validation.h"
 #include "common/crc32c.h"
 #include "common/macros.h"
 #include "common/rng.h"
-#include "core/machine.h"
 #include "engine/engine.h"
 #include "obs/attribution.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "obs/region_profiler.h"
+#include "obs/profile_run.h"
 #include "obs/slo.h"
 #include "server/checkpoint.h"
 #include "server/journal.h"
@@ -225,43 +222,15 @@ Server::QueryClass Server::SimulateClass(const std::string& engine_key,
   engine::OlapEngine& eng = *registry_.Get(engine_key).value();
 
   // The solo execution: the engine really runs the query on a fresh
-  // single-core machine through the dispatch API, profiled per region —
-  // the same recipe as harness::ProfileSingleObs (the server cannot link
-  // the harness; see the layering contract).
-  core::Machine machine(config_.machine, 1);
-  if (audit::ValidationEnabled()) audit::ArmMachine(machine);
-  obs::RegionProfiler profiler(
-      machine.core(0),
-      obs::RegionProfiler::Options{config_.sample_interval_instructions});
-  engine::Workers w(machine.core(0));
-  cls.result = eng.Run(spec, w).value();
-  machine.FinalizeAll();
-
-  obs::RunRecord run;
-  run.label = "serve/" + cls.label;
-  run.threads = 1;
-  run.config = config_.machine;
-  run.bw_scale = 1.0;
-  obs::CoreRecord rec;
-  rec.whole = machine.AnalyzeCore(0);
-  rec.regions = profiler.Finish();
-  obs::AnalyzeTree(config_.machine, &rec.regions, run.bw_scale);
-  rec.timeline = profiler.timeline();
-  rec.events = profiler.events();
-  rec.begin = profiler.begin_counters();
-  run.makespan_cycles = rec.whole.total_cycles;
-  run.time_ms = rec.whole.time_ms;
-  run.socket_bandwidth_gbps = rec.whole.bandwidth_gbps;
-  run.cores.push_back(std::move(rec));
-  if (audit::ValidationEnabled()) {
-    audit::AuditReport rep = audit::AuditMachine(machine, run.label);
-    audit::CheckBreakdown(run.cores[0].whole, config_.machine.freq_ghz,
-                          run.label + "/core0/topdown", &rep);
-    run.audited = true;
-    run.audit_checks = rep.checks;
-    run.violations = rep.violations;
-    audit::ReportViolations(rep, run.label);
-  }
+  // single-core machine through the dispatch API, profiled per region.
+  obs::ProfiledRun solo = obs::ProfileRun(
+      config_.machine, 1,
+      obs::RegionProfiler::Options{config_.sample_interval_instructions},
+      "serve/" + cls.label, [&](core::Machine& m) {
+        engine::Workers w(m);
+        cls.result = eng.Run(spec, w).value();
+      });
+  obs::RunRecord& run = solo.record;
 
   cls.counters = run.cores[0].whole.counters;
   cls.solo = run.cores[0].whole;

@@ -45,7 +45,8 @@ std::string DateToString(Date d) {
     d -= DaysInMonth(year, month);
     ++month;
   }
-  char buf[16];
+  // Room for three full-range ints, two dashes and the NUL.
+  char buf[3 * 11 + 2 + 1];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", year, month, d + 1);
   return buf;
 }

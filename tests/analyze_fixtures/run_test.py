@@ -84,7 +84,8 @@ def main():
                     "CON-METRIC-NAME", "CON-TESTONLY",
                     "CON-TESTONLY-REF", "CON-GUARD", "CON-USING-NS",
                     "CON-INCLUDE-ORDER", "CON-STORAGE",
-                    "CON-STATUS-DISCARD", "CON-IO-CHECKED"):
+                    "CON-STATUS-DISCARD", "CON-IO-CHECKED",
+                    "CON-CONFIG-READ"):
         check(any(f"[{rule_id}]" in line for line in findings),
               f"rule {rule_id} fires on its fixture")
 

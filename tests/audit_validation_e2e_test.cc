@@ -1,7 +1,7 @@
-// End-to-end validation-layer test: drives real workloads through the
-// harness Profile* entry points with validation enabled and asserts the
-// clean path (zero violations, checks recorded, audit results landing in
-// the RunRecord and the exported JSON). The per-rule failure paths live in
+// End-to-end validation-layer test: drives real workloads through
+// obs::ProfileRun with validation enabled and asserts the clean path (zero
+// violations, checks recorded, audit results landing in the RunRecord and
+// the exported JSON). The per-rule failure paths live in
 // audit_invariants_test.cc; this file covers the wiring around them.
 
 #include <gtest/gtest.h>
@@ -10,11 +10,13 @@
 
 #include "audit/validation.h"
 #include "core/config.h"
-#include "harness/profile.h"
+#include "core/machine.h"
+#include "engine/engine.h"
 #include "obs/profile_export.h"
+#include "obs/profile_run.h"
 #include "obs/record.h"
 
-namespace uolap::harness {
+namespace uolap::obs {
 namespace {
 
 using core::MachineConfig;
@@ -51,35 +53,34 @@ void Workload(core::Core& core) {
   core.Retire(m);
 }
 
-TEST(AuditValidationE2eTest, ProfileSingleCleanUnderValidation) {
+/// One validated-or-not ProfileRun of Workload on every core.
+RunRecord ProfileWorkload(uint32_t cores, const std::string& label) {
+  return ProfileRun(MachineConfig::Broadwell(), cores, {}, label,
+                    [](core::Machine& m) {
+                      const Workers w(m);
+                      w.ForEach([&](size_t t) { Workload(*w.cores[t]); });
+                    })
+      .record;
+}
+
+TEST(AuditValidationE2eTest, OneAndManyCoresCleanUnderValidation) {
   ValidationGuard guard;
   audit::SetValidationEnabled(true);
   // Zero violations expected; abort-on-violation armed makes a regression
   // here fail loudly rather than quietly producing a wrong figure.
-  const core::ProfileResult r =
-      ProfileSingle(MachineConfig::Broadwell(),
-                    [](Workers& w) { Workload(*w.cores[0]); });
-  EXPECT_GT(r.total_cycles, 0.0);
-}
-
-TEST(AuditValidationE2eTest, ProfileMultiCleanUnderValidation) {
-  ValidationGuard guard;
-  audit::SetValidationEnabled(true);
-  const core::MultiCoreResult r = ProfileMulti(
-      MachineConfig::Broadwell(), 2,
-      [](Workers& w) {
-        w.ForEach([&](size_t t) { Workload(*w.cores[t]); });
-      },
-      /*executor=*/nullptr);
-  EXPECT_EQ(r.per_core.size(), 2u);
+  for (const uint32_t cores : {1u, 2u}) {
+    const RunRecord run = ProfileWorkload(cores, "e2e");
+    ASSERT_EQ(run.cores.size(), cores);
+    EXPECT_GT(run.cores[0].whole.total_cycles, 0.0);
+    EXPECT_TRUE(run.audited);
+    EXPECT_TRUE(run.violations.empty());
+  }
 }
 
 TEST(AuditValidationE2eTest, ObsRunCarriesAuditResults) {
   ValidationGuard guard;
   audit::SetValidationEnabled(true);
-  const obs::RunRecord run =
-      ProfileSingleObs(MachineConfig::Broadwell(), ObsOptions{}, "e2e",
-                       [](Workers& w) { Workload(*w.cores[0]); });
+  const RunRecord run = ProfileWorkload(1, "e2e");
   EXPECT_TRUE(run.audited);
   EXPECT_GT(run.audit_checks, 0u);
   EXPECT_TRUE(run.violations.empty());
@@ -88,9 +89,7 @@ TEST(AuditValidationE2eTest, ObsRunCarriesAuditResults) {
 TEST(AuditValidationE2eTest, ObsRunNotAuditedWhenDisabled) {
   ValidationGuard guard;
   audit::SetValidationEnabled(false);
-  const obs::RunRecord run =
-      ProfileSingleObs(MachineConfig::Broadwell(), ObsOptions{}, "off",
-                       [](Workers& w) { Workload(*w.cores[0]); });
+  const RunRecord run = ProfileWorkload(1, "off");
   EXPECT_FALSE(run.audited);
   EXPECT_EQ(run.audit_checks, 0u);
 }
@@ -98,18 +97,16 @@ TEST(AuditValidationE2eTest, ObsRunNotAuditedWhenDisabled) {
 TEST(AuditValidationE2eTest, AuditResultsReachProfileJson) {
   ValidationGuard guard;
   audit::SetValidationEnabled(true);
-  obs::ProfileSession session;
+  ProfileSession session;
   session.bench = "e2e";
   session.machine = "broadwell";
   session.freq_ghz = MachineConfig::Broadwell().freq_ghz;
-  session.runs.push_back(
-      ProfileSingleObs(MachineConfig::Broadwell(), ObsOptions{}, "json",
-                       [](Workers& w) { Workload(*w.cores[0]); }));
-  const std::string json = obs::ProfileToJson(session);
+  session.runs.push_back(ProfileWorkload(1, "json"));
+  const std::string json = ProfileToJson(session);
   EXPECT_NE(json.find("\"audit\": {"), std::string::npos);
   EXPECT_NE(json.find("\"enabled\": true"), std::string::npos);
   EXPECT_NE(json.find("\"violations\": []"), std::string::npos);
 }
 
 }  // namespace
-}  // namespace uolap::harness
+}  // namespace uolap::obs

@@ -13,12 +13,25 @@
 #include "core/core.h"
 #include "core/machine.h"
 #include "engines/typer/typer_engine.h"
-#include "harness/profile.h"
 #include "harness/thread_pool.h"
+#include "obs/profile_run.h"
 #include "tpch/dbgen.h"
 
 namespace uolap::core {
 namespace {
+
+/// The socket analysis of one obs::ProfileRun on `threads` cores whose
+/// worker bodies run on `executor` (null: serially).
+template <typename Fn>
+MultiCoreResult ProfileMulti(const MachineConfig& cfg, int threads, Fn&& fn,
+                             engine::ParallelExecutor* executor) {
+  return obs::ProfileRun(cfg, static_cast<uint32_t>(threads), {}, "det",
+                         [&](Machine& m) {
+                           engine::Workers w(m, executor);
+                           fn(w);
+                         })
+      .multi;
+}
 
 void ExpectMixEq(const InstrMix& a, const InstrMix& b) {
   EXPECT_EQ(a.alu, b.alu);
@@ -201,14 +214,14 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   for (size_t i = 0; i < 64; ++i) ASSERT_EQ(nested[i].load(), 1);
 }
 
-TEST(ParallelDeterminismTest, ProfileMultiThreadedBitIdenticalToSerial) {
+TEST(ParallelDeterminismTest, ProfileRunThreadedBitIdenticalToSerial) {
   // Scheduling determinism in isolation: every data address the workload
   // feeds the model comes from buffers allocated once, up front, so the
   // serial (executor = nullptr) and threaded runs see byte-identical
   // memory layouts and the full counter state must match bit-for-bit.
   // (Engine workloads allocate hash tables per run, whose heap addresses
   // — and hence cache-set conflicts — legitimately vary between two
-  // ProfileMulti calls; the address-independent comparison below covers
+  // profiled runs; the address-independent comparison below covers
   // them.)
   const MachineConfig cfg = MachineConfig::Broadwell();
   constexpr int kThreads = 4;
@@ -241,9 +254,9 @@ TEST(ParallelDeterminismTest, ProfileMultiThreadedBitIdenticalToSerial) {
   };
 
   const MultiCoreResult serial =
-      harness::ProfileMulti(cfg, kThreads, workload, /*executor=*/nullptr);
+      ProfileMulti(cfg, kThreads, workload, /*executor=*/nullptr);
   const MultiCoreResult threaded =
-      harness::ProfileMulti(cfg, kThreads, workload);
+      ProfileMulti(cfg, kThreads, workload, &harness::ThreadPool::Global());
 
   ASSERT_EQ(serial.per_core.size(), threaded.per_core.size());
   EXPECT_EQ(serial.makespan_cycles, threaded.makespan_cycles);
@@ -281,10 +294,10 @@ TEST(ParallelDeterminismTest, EngineWorkloadSchedulingInvariant) {
       *sum = typer.Join(w, engine::JoinSize::kMedium);
     };
   };
-  const MultiCoreResult serial = harness::ProfileMulti(
-      cfg, 4, workload(&serial_sum), /*executor=*/nullptr);
-  const MultiCoreResult threaded =
-      harness::ProfileMulti(cfg, 4, workload(&threaded_sum));
+  const MultiCoreResult serial =
+      ProfileMulti(cfg, 4, workload(&serial_sum), /*executor=*/nullptr);
+  const MultiCoreResult threaded = ProfileMulti(
+      cfg, 4, workload(&threaded_sum), &harness::ThreadPool::Global());
 
   EXPECT_EQ(serial_sum, threaded_sum);
   ASSERT_EQ(serial.per_core.size(), threaded.per_core.size());

@@ -13,9 +13,9 @@ constexpr uint64_t kLine = 64;
 MachineConfig SmallMachine() {
   // A miniature hierarchy so tests can exercise capacity behaviour cheaply.
   MachineConfig m = MachineConfig::Broadwell();
-  m.l1d = CacheConfig{4 * 1024, 8, 64, 16};   // 64 lines
-  m.l2 = CacheConfig{16 * 1024, 8, 64, 26};   // 256 lines
-  m.l3 = CacheConfig{64 * 1024, 16, 64, 160}; // 1024 lines
+  m.l1d = CacheConfig{4 * 1024, 8, 16};   // 64 lines
+  m.l2 = CacheConfig{16 * 1024, 8, 26};   // 256 lines
+  m.l3 = CacheConfig{64 * 1024, 16, 160}; // 1024 lines
   return m;
 }
 

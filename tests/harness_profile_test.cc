@@ -2,15 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/machine.h"
-
 namespace uolap::harness {
 namespace {
 
 using core::CycleBreakdown;
-using core::MachineConfig;
 using core::ProfileResult;
-using engine::Workers;
 
 CycleBreakdown MakeBreakdown() {
   CycleBreakdown b;
@@ -59,31 +55,6 @@ TEST(ProfileRowsTest, NormTimeRowDividesByBase) {
   const auto row = NormTimeRow("q", r, /*base_cycles=*/50.0);
   EXPECT_EQ(row[1], "2.00");  // 100 / 50
   EXPECT_EQ(row[2], "0.50");  // retiring 25 / 50
-}
-
-TEST(ProfileSingleTest, RunsAndAnalyzes) {
-  const ProfileResult r =
-      ProfileSingle(MachineConfig::Broadwell(), [](Workers& w) {
-        ASSERT_EQ(w.count(), 1u);
-        core::InstrMix m;
-        m.alu = 4000;
-        w.cores[0]->Retire(m);
-      });
-  EXPECT_DOUBLE_EQ(r.cycles.retiring, 1000.0);
-}
-
-TEST(ProfileMultiTest, RunsAcrossCores) {
-  const core::MultiCoreResult r =
-      ProfileMulti(MachineConfig::Broadwell(), 3, [](Workers& w) {
-        ASSERT_EQ(w.count(), 3u);
-        for (auto* c : w.cores) {
-          core::InstrMix m;
-          m.alu = 400;
-          c->Retire(m);
-        }
-      });
-  EXPECT_EQ(r.threads, 3);
-  EXPECT_NEAR(r.aggregate.retiring, 300.0, 1e-9);
 }
 
 }  // namespace

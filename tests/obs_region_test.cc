@@ -1,8 +1,9 @@
 // Region-profiler contract tests: tree structure and visit merging,
 // non-fatal unbalanced push/pop handling, the tentpole delta-sum invariant
 // (leaf-region breakdowns sum to the whole-run breakdown within 1e-9),
-// counter non-perturbation, timeline sampling, and bit-determinism of
-// threaded ProfileMulti region trees against serial runs.
+// counter non-perturbation, timeline sampling, the obs::ProfileRun
+// recipe on one and several cores, and bit-determinism of threaded
+// ProfileRun region trees against serial runs.
 
 #include "obs/region_profiler.h"
 
@@ -16,9 +17,9 @@
 #include "core/core.h"
 #include "core/machine.h"
 #include "engines/typer/typer_engine.h"
-#include "harness/profile.h"
 #include "harness/thread_pool.h"
 #include "obs/attribution.h"
+#include "obs/profile_run.h"
 #include "tpch/dbgen.h"
 
 namespace uolap {
@@ -46,6 +47,18 @@ void ExpectSameBreakdown(const CycleBreakdown& a, const CycleBreakdown& b) {
   EXPECT_EQ(a.decoding, b.decoding);
   EXPECT_EQ(a.dcache, b.dcache);
   EXPECT_EQ(a.execution, b.execution);
+}
+
+/// One obs::ProfileRun on `cores` Broadwell cores whose worker bodies run
+/// on `executor` (null: serially).
+template <typename Fn>
+obs::ProfiledRun ProfileOn(uint32_t cores, uint64_t sample_every,
+                           engine::ParallelExecutor* executor, Fn&& fn) {
+  return obs::ProfileRun(MachineConfig::Broadwell(), cores, {sample_every},
+                         "det", [&](core::Machine& m) {
+                           Workers w(m, executor);
+                           fn(w);
+                         });
 }
 
 void Alu(core::Core& core, uint64_t n) {
@@ -189,6 +202,31 @@ TEST(RegionProfilerTest, TimelineSamplesAreMonotoneAndTelescope) {
   EXPECT_LE(prev, tree.root().inclusive.mix.TotalInstructions());
 }
 
+TEST(ProfileRunTest, AnalyzesOneAndManyCores) {
+  // One core is analyzed alone at bandwidth scale 1.0; several cores
+  // through the socket model. Either way each core retires 4 instructions
+  // per cycle here, so the retiring cycles are exact.
+  for (const uint32_t cores : {1u, 3u}) {
+    SCOPED_TRACE(testing::Message() << cores << " cores");
+    const obs::ProfiledRun run =
+        ProfileOn(cores, 0, /*executor=*/nullptr, [&](Workers& w) {
+          ASSERT_EQ(w.count(), cores);
+          for (core::Core* c : w.cores) Alu(*c, 4000);
+        });
+    EXPECT_EQ(run.record.label, "det");
+    EXPECT_EQ(run.record.threads, static_cast<int>(cores));
+    EXPECT_EQ(run.record.bw_scale, 1.0);
+    EXPECT_EQ(run.multi.threads, static_cast<int>(cores));
+    EXPECT_NEAR(run.multi.aggregate.retiring, 1000.0 * cores, 1e-9);
+    ASSERT_EQ(run.record.cores.size(), cores);
+    for (const obs::CoreRecord& rec : run.record.cores) {
+      EXPECT_DOUBLE_EQ(rec.whole.cycles.retiring, 1000.0);
+      EXPECT_EQ(rec.regions.root().name, "<run>");
+    }
+    EXPECT_EQ(run.record.makespan_cycles, run.multi.makespan_cycles);
+  }
+}
+
 /// Tests against a real engine workload share one tiny database.
 class RegionEngineTest : public ::testing::Test {
  protected:
@@ -205,9 +243,10 @@ tpch::Database* RegionEngineTest::db_ = nullptr;
 typer::TyperEngine* RegionEngineTest::typer_ = nullptr;
 
 TEST_F(RegionEngineTest, LeafBreakdownsSumToWholeRunWithin1e9) {
-  const obs::RunRecord run = harness::ProfileSingleObs(
-      MachineConfig::Broadwell(), harness::ObsOptions{}, "join",
-      [&](Workers& w) { typer_->Join(w, engine::JoinSize::kLarge); });
+  const obs::RunRecord run =
+      ProfileOn(1, 0, /*executor=*/nullptr, [&](Workers& w) {
+        typer_->Join(w, engine::JoinSize::kLarge);
+      }).record;
 
   const obs::CoreRecord& rec = run.cores[0];
   ASSERT_GE(rec.regions.nodes.size(), 3u);  // <run> + build/probe/...
@@ -241,7 +280,7 @@ TEST_F(RegionEngineTest, LeafBreakdownsSumToWholeRunWithin1e9) {
   EXPECT_NEAR(rec.regions.root().incl_cycles.Total(), whole.Total(), tol);
 }
 
-TEST(RegionProfilerTest, ThreadedProfileMultiTreesBitIdenticalToSerial) {
+TEST(RegionProfilerTest, ThreadedProfileRunTreesBitIdenticalToSerial) {
   // Scheduling determinism with profilers attached: every simulated
   // address comes from one up-front buffer (see
   // core_batched_access_test), so serial and threaded runs must produce
@@ -274,12 +313,10 @@ TEST(RegionProfilerTest, ThreadedProfileMultiTreesBitIdenticalToSerial) {
     });
   };
 
-  auto [serial_multi, serial] = harness::ProfileMultiObs(
-      MachineConfig::Broadwell(), kThreads, harness::ObsOptions{1 << 12},
-      "det", workload, /*executor=*/nullptr);
-  auto [pool_multi, pooled] = harness::ProfileMultiObs(
-      MachineConfig::Broadwell(), kThreads, harness::ObsOptions{1 << 12},
-      "det", workload, &harness::ThreadPool::Global());
+  auto [serial, serial_multi] =
+      ProfileOn(kThreads, 1 << 12, /*executor=*/nullptr, workload);
+  auto [pooled, pool_multi] =
+      ProfileOn(kThreads, 1 << 12, &harness::ThreadPool::Global(), workload);
 
   ASSERT_EQ(serial.cores.size(), pooled.cores.size());
   EXPECT_EQ(serial_multi.makespan_cycles, pool_multi.makespan_cycles);
@@ -321,12 +358,10 @@ TEST_F(RegionEngineTest, EngineRegionTreesSchedulingInvariant) {
   const int threads = 4;
   auto workload = [&](Workers& w) { typer_->Q1(w); };
 
-  auto [serial_multi, serial] = harness::ProfileMultiObs(
-      MachineConfig::Broadwell(), threads, harness::ObsOptions{},
-      "q1", workload, /*executor=*/nullptr);
-  auto [pool_multi, pooled] = harness::ProfileMultiObs(
-      MachineConfig::Broadwell(), threads, harness::ObsOptions{},
-      "q1", workload, &harness::ThreadPool::Global());
+  auto [serial, serial_multi] =
+      ProfileOn(threads, 0, /*executor=*/nullptr, workload);
+  auto [pooled, pool_multi] =
+      ProfileOn(threads, 0, &harness::ThreadPool::Global(), workload);
 
   ASSERT_EQ(serial.cores.size(), pooled.cores.size());
   for (size_t c = 0; c < serial.cores.size(); ++c) {

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,12 +39,25 @@
 namespace uolap::server {
 namespace {
 
-std::string TempDir() {
-  char tmpl[] = "/tmp/uolap_ckpt_test_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
+/// Gives each test a fresh mkdtemp directory and removes it, with
+/// everything in it, when the test ends. Forked children leave through
+/// _Exit, so only the test process ever removes the directory.
+class TempDirTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    char tmpl[] = "/tmp/uolap_ckpt_test_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr) << "mkdtemp failed";
+    dir_ = tmpl;
+  }
+  void TearDown() override {
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
+  }
+  /// The test's directory (no trailing slash).
+  const std::string& dir() const { return dir_; }
+
+ private:
+  std::string dir_;
+};
 
 // --- CRC32C ----------------------------------------------------------------
 
@@ -69,9 +83,12 @@ TEST(Crc32cTest, IncrementalEqualsOneShot) {
 
 // --- journal framing -------------------------------------------------------
 
-class JournalTest : public ::testing::Test {
+class JournalTest : public TempDirTest {
  protected:
-  void SetUp() override { path_ = TempDir() + "/j.wal"; }
+  void SetUp() override {
+    ASSERT_NO_FATAL_FAILURE(TempDirTest::SetUp());
+    path_ = dir() + "/j.wal";
+  }
   std::string path_;
 };
 
@@ -492,7 +509,7 @@ TEST(MetricsRestoreTest, SnapshotAfterRestoreIsIdentical) {
 
 // --- end-to-end kill and resume --------------------------------------------
 
-class CheckpointServeTest : public ::testing::Test {
+class CheckpointServeTest : public TempDirTest {
  protected:
   static void SetUpTestSuite() {
     tpch::DbGen gen(42);
@@ -659,7 +676,7 @@ tpch::Database* CheckpointServeTest::db_ = nullptr;
 engine::EngineRegistry* CheckpointServeTest::registry_ = nullptr;
 
 TEST_F(CheckpointServeTest, KillAndResumeIsByteIdentical) {
-  const std::string tmp = TempDir();
+  const std::string& tmp = dir();
 
   // A: uninterrupted, checkpointing on. B: the same run killed mid-flight
   // by --crash-at. C: resume from B's checkpoint directory and finish.
@@ -697,7 +714,7 @@ TEST_F(CheckpointServeTest, KillAndResumeIsByteIdentical) {
 }
 
 TEST_F(CheckpointServeTest, ResumeDiscardsTornJournalTailLoudly) {
-  const std::string tmp = TempDir();
+  const std::string& tmp = dir();
   CheckpointConfig ref;
   ref.dir = tmp + "/ck_a";
   ref.every_epochs = 4;
@@ -733,7 +750,7 @@ TEST_F(CheckpointServeTest, ResumeDiscardsTornJournalTailLoudly) {
 }
 
 TEST_F(CheckpointServeTest, ResumeSkipsCorruptNewestSnapshot) {
-  const std::string tmp = TempDir();
+  const std::string& tmp = dir();
   CheckpointConfig base;
   base.dir = tmp + "/ck";
   base.every_epochs = 2;
@@ -760,7 +777,7 @@ TEST_F(CheckpointServeTest, ResumeSkipsCorruptNewestSnapshot) {
 }
 
 TEST_F(CheckpointServeTest, ResumeFailsCleanlyWithoutACheckpoint) {
-  const std::string tmp = TempDir();
+  const std::string& tmp = dir();
   ServerConfig config = BaseConfig();
   config.checkpoint.dir = tmp + "/empty";
   config.checkpoint.resume = true;
@@ -774,7 +791,7 @@ TEST_F(CheckpointServeTest, ResumeFailsCleanlyWithoutACheckpoint) {
 }
 
 TEST_F(CheckpointServeTest, ResumeRejectsAMismatchedConfiguration) {
-  const std::string tmp = TempDir();
+  const std::string& tmp = dir();
   CheckpointConfig base;
   base.dir = tmp + "/ck";
   base.every_epochs = 2;
@@ -854,7 +871,7 @@ TEST_F(CheckpointServeTest, ResumeRejectsOutOfRangeRestoredIndices) {
   // Child 0 writes the checkpoints; child i > 0 resumes case i - 1. All
   // paths have one length, so every child allocates the same heap layout
   // and simulates the same class profiles (the class digest guard).
-  const std::string tmp = TempDir();
+  const std::string& tmp = dir();
   std::vector<ChildSpec> specs;
   for (size_t i = 0; i <= cases.size(); ++i) {
     const std::string id = std::to_string(10 + i);
@@ -891,7 +908,7 @@ TEST_F(CheckpointServeTest, ResumeRejectsOutOfRangeRestoredIndices) {
 }
 
 TEST_F(CheckpointServeTest, InspectSummarizesTheDirectory) {
-  const std::string tmp = TempDir();
+  const std::string& tmp = dir();
   CheckpointConfig base;
   base.dir = tmp + "/ck";
   base.every_epochs = 2;

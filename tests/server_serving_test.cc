@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/machine.h"
+#include "engine/engine.h"
 #include "engine/query_spec.h"
 #include "engine/registry.h"
 #include "harness/engines.h"
+#include "obs/profile_run.h"
 #include "server/serving.h"
 #include "tpch/dbgen.h"
 
@@ -57,6 +60,52 @@ class ServingTest : public ::testing::Test {
 
 tpch::Database* ServingTest::db_ = nullptr;
 engine::EngineRegistry* ServingTest::registry_ = nullptr;
+
+TEST_F(ServingTest, ClassRunIsMeasuredLikeProfileRun) {
+  // A server's solo class profile is one obs::ProfileRun, the recipe
+  // every figure uses. Instructions, branch events and mispredicts do not
+  // depend on heap addresses, so they must match exactly.
+  const engine::QuerySpec spec = engine::QuerySpec::Projection(4);
+  ServerConfig config = BaseConfig();
+  config.cores = 1;
+  config.default_max_queries = 1;
+  Server server(config, *registry_);
+  TenantConfig tenant = ScanTenant("a", "typer", 1, 7);
+  tenant.catalog = {spec};
+  server.AddTenant(tenant);
+  const ServeResult served = server.Run();
+  ASSERT_FALSE(served.class_runs.empty());
+  const obs::RunRecord& cls = served.class_runs[0];
+  EXPECT_EQ(cls.label, "serve/typer/" + spec.Label());
+
+  engine::OlapEngine& typer = *registry_->Get("typer").value();
+  const obs::RunRecord direct =
+      obs::ProfileRun(config.machine, 1, {}, "direct",
+                      [&](core::Machine& m) {
+                        engine::Workers w(m);
+                        ASSERT_TRUE(typer.Run(spec, w).ok());
+                      })
+          .record;
+
+  EXPECT_EQ(cls.threads, direct.threads);
+  EXPECT_EQ(cls.bw_scale, direct.bw_scale);
+  EXPECT_EQ(cls.audited, direct.audited);
+  EXPECT_EQ(cls.audit_checks, direct.audit_checks);
+  ASSERT_EQ(cls.cores.size(), 1u);
+  ASSERT_EQ(direct.cores.size(), 1u);
+  const core::CoreCounters& a = cls.cores[0].whole.counters;
+  const core::CoreCounters& b = direct.cores[0].whole.counters;
+  EXPECT_EQ(a.mix.TotalInstructions(), b.mix.TotalInstructions());
+  EXPECT_EQ(a.branch_events, b.branch_events);
+  EXPECT_EQ(a.branch_mispredicts, b.branch_mispredicts);
+  const obs::RegionTree& ta = cls.cores[0].regions;
+  const obs::RegionTree& tb = direct.cores[0].regions;
+  ASSERT_EQ(ta.nodes.size(), tb.nodes.size());
+  for (size_t i = 0; i < ta.nodes.size(); ++i) {
+    EXPECT_EQ(ta.nodes[i].name, tb.nodes[i].name);
+    EXPECT_EQ(ta.nodes[i].visits, tb.nodes[i].visits);
+  }
+}
 
 TEST_F(ServingTest, RepeatedRunsAreBitIdentical) {
   Server server(BaseConfig(), *registry_);
@@ -227,7 +276,9 @@ TEST_F(ServingTest, SpanTracingCoversEveryQueryAtFullSampling) {
     EXPECT_LT(s.core, config.cores);
     EXPECT_FALSE(s.tenant.empty());
     EXPECT_FALSE(s.cls.empty());
-    if (i > 0) EXPECT_GT(s.seq, last_seq);  // sorted by admission order
+    if (i > 0) {
+      EXPECT_GT(s.seq, last_seq);  // sorted by admission order
+    }
     last_seq = s.seq;
   }
 }
@@ -261,7 +312,9 @@ TEST_F(ServingTest, EpochWindowsPartitionCompletions) {
     const obs::EpochRecord& e = rec.epochs[i];
     EXPECT_EQ(e.index, static_cast<int>(i));
     EXPECT_LT(e.start_ms, e.end_ms);
-    if (i > 0) EXPECT_EQ(e.start_ms, rec.epochs[i - 1].end_ms);
+    if (i > 0) {
+      EXPECT_EQ(e.start_ms, rec.epochs[i - 1].end_ms);
+    }
     epoch_completed += e.completed;
     if (e.completed > 0) {
       EXPECT_LE(e.p50_ms, e.p95_ms);
